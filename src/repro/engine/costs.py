@@ -41,10 +41,26 @@ KV length just grows by one per iteration — so the event-compressed
 serving loop (:func:`~repro.engine.serving_sim.simulate_serving`) prices
 a whole stretch with one call instead of ``steps`` Python round-trips.
 The ABC ships a per-step reference fallback; the shipped adapters
-override it with an evaluate-once, slice-forever scheme (a per-batch
-cost-vs-KV array, :class:`_KvRunCache`) whose entries are produced by the
-*same* scalar routine ``decode_cost`` uses, so run pricing is bit-for-bit
-identical to the per-step path.
+override it with an evaluate-once, slice-forever scheme: a per-batch
+cost-vs-KV table (:class:`_KvRunCache`) that ``decode_cost``, the prompt
+riders and the runs all read, so run pricing is bit-for-bit identical to
+the per-step path.
+
+The dense latency model takes KV length as an array axis:
+``step_time(batch, 1, kvs)`` with a 1-D integer ``kvs`` returns kernel
+and comm arrays whose elements equal the scalar calls bit for bit (KV
+enters only through ``+ * /`` and ``max``). In true-KV mode
+:class:`DenseStepCost` therefore fills its tables *ahead* — one
+vectorized call prices every KV length up to the table's capacity,
+which grows by doubling — so a cold run makes a handful of decode fills
+per batch size instead of one per KV length. The MoE and ZeRO models
+price KV through scalar-only terms, so their tables fill lazily, one
+scalar evaluation per KV length a run visits.
+
+Every priced value is checked once, where it enters a cache or memo (or
+leaves a legacy closure): a non-finite or negative cost raises a
+``ValueError`` naming the adapter and the shape instead of leaking into
+reports.
 """
 
 from __future__ import annotations
@@ -158,35 +174,83 @@ class BatchState:
         return BatchState(tuple(kv + steps for kv in self.kv_lens))
 
 
-class _KvRunCache:
-    """Growable cost-vs-KV arrays, one per cache key (e.g. batch size).
+def _checked(cost, adapter: str, **shape):
+    """``cost`` (seconds: a float or a KV-axis array), verified finite
+    and non-negative.
 
-    The adapters' decode cost is a pure function of a small shape key
-    plus the (mean) KV length, and a decode run walks a *contiguous* KV
-    range — so the natural vectorized store is an array indexed by KV.
-    Each missing entry is evaluated exactly once via the ``fill``
-    callback (the adapter's scalar pricing routine, so the stored floats
-    are bit-for-bit the scalar path's); after warm-up a whole run prices
-    as one NumPy slice.
+    Runs once per value, where a priced cost first enters a cache or
+    memo (or leaves a closure); the warm path never re-checks. A NaN
+    would otherwise pass every comparison silently — and, in the lazy
+    run caches, look like an unpriced entry on every run.
+    """
+    if isinstance(cost, np.ndarray):
+        bad = np.flatnonzero(~((cost >= 0) & (cost < np.inf)))
+        if not bad.size:
+            return cost
+        i = bad[0]
+        value = float(cost[i])
+        shape = {k: int(v[i]) if isinstance(v, np.ndarray) else v
+                 for k, v in shape.items()}
+    elif 0.0 <= cost < math.inf:
+        return cost
+    else:
+        value = cost
+    dims = ", ".join(f"{k}={v}" for k, v in shape.items())
+    raise ValueError(
+        f"{adapter} priced shape ({dims}) at {value!r} s; a step cost must "
+        "be finite and >= 0. Fix the wrapped model's inputs (a zero "
+        "bandwidth, peak or efficiency in the hardware spec or profile "
+        "yields inf/NaN) or the pricing callback.")
+
+
+class _KvRunCache:
+    """Growable cost tables indexed by KV length, one per cache key.
+
+    An adapter's decode cost is a pure function of a small shape key
+    (the batch size) plus the (mean) KV length, and a decode run walks a
+    *contiguous* KV range — so the natural store is a table whose last
+    axis is the KV length: ``table[:, kv]`` holds the key's ``columns``
+    priced values at context length ``kv``. ``fill(key, kvs)`` (passed
+    per lookup, so the cache holds no reference to its adapter) prices a
+    1-D int64 array of KV lengths in one call and returns one row per
+    column, already :func:`_checked`. Tables grow by doubling.
+
+    ``ahead=True`` is for array-native pricing (:class:`DenseStepCost`,
+    whose latency model takes a KV array and returns per-element results
+    bit-identical to its scalar calls): any growth prices *every* KV from
+    1 up to the new capacity in one fill call. A vector call costs about
+    one scalar call, so a key settles after a handful of fills (one per
+    doubling) instead of one per KV. Otherwise (MoE and ZeRO, whose
+    pricing is scalar) a lookup prices just the unpriced entries of the
+    requested range, with NaN marking "not priced yet"; fills reject
+    NaN, so the sentinel is unambiguous. Warm lookups are one slice.
     """
 
-    def __init__(self) -> None:
-        self._arrays: dict = {}
+    def __init__(self, *, columns: int = 1, ahead: bool = False) -> None:
+        self._columns = columns
+        self._ahead = ahead
+        self._tables: dict = {}
 
-    def run(self, key, kv0: int, steps: int, fill: Callable[[int], float]) -> np.ndarray:
-        """Costs for KV lengths ``kv0 .. kv0+steps-1`` under ``key``."""
-        need = kv0 + steps
-        arr = self._arrays.get(key)
-        if arr is None:
-            arr = self._arrays[key] = np.full(max(need, 64), np.nan)
-        elif arr.size < need:
-            grown = np.full(max(need, 2 * arr.size), np.nan)
-            grown[: arr.size] = arr
-            arr = self._arrays[key] = grown
-        seg = arr[kv0:need]
-        for i in np.nonzero(np.isnan(seg))[0]:
-            seg[i] = fill(kv0 + int(i))
-        return seg.copy()
+    def table(self, key, kv0: int, need: int,
+              fill: Callable[[object, np.ndarray], object]) -> np.ndarray:
+        """``key``'s ``(columns, capacity)`` table, with every KV length
+        in ``kv0 .. need-1`` priced."""
+        tab = self._tables.get(key)
+        size = 0 if tab is None else tab.shape[1]
+        if size < need:
+            grown = np.full((self._columns, max(need, 64, 2 * size)), np.nan)
+            if size:
+                grown[:, :size] = tab
+            tab = self._tables[key] = grown
+            if self._ahead:
+                lo = max(1, size)
+                tab[:, lo:] = fill(key, np.arange(lo, tab.shape[1]))
+        if not self._ahead:
+            miss = np.flatnonzero(np.isnan(tab[-1, kv0:need]))
+            if miss.size:
+                kvs = miss + kv0
+                tab[:, kvs] = fill(key, kvs)
+        return tab
 
 
 class StepCostModel(ABC):
@@ -259,14 +323,17 @@ class ClosureStepCost(StepCostModel):
         self._step_time = step_time
 
     def prompt_cost(self, state: BatchState, request: _HasPromptLen) -> float:
-        return self._prompt_time(state.batch + 1, request.prompt_len)
+        batch, plen = state.batch + 1, request.prompt_len
+        return _checked(self._prompt_time(batch, plen), type(self).__name__,
+                        batch=batch, prompt_len=plen)
 
     def decode_cost(self, state: BatchState) -> float:
-        return self._step_time(state.batch)
+        return _checked(self._step_time(state.batch), type(self).__name__,
+                        batch=state.batch)
 
     def _decode_run_cost(self, state: BatchState, steps: int) -> np.ndarray:
         # KV-blind: the run is one closure call broadcast across steps.
-        return np.full(steps, self._step_time(state.batch))
+        return np.full(steps, self.decode_cost(state))
 
 
 class DenseStepCost(StepCostModel):
@@ -289,21 +356,40 @@ class DenseStepCost(StepCostModel):
         self.representative_kv = representative_kv
         self._memo: dict[tuple, float] = {}
         self._pass_memo: dict[tuple, tuple[float, float]] = {}
-        self._runs = _KvRunCache()
+        # Decode-shape passes (one token per sequence), kernel and comm
+        # seconds per batch size, priced a whole KV axis at a time.
+        self._decode = _KvRunCache(columns=2, ahead=True)
 
     def _rider_kv(self, state: BatchState) -> int:
         if self.representative_kv is not None:
             return self.representative_kv
         return max(1, state.mean_kv)
 
+    def _decode_passes(self, batch: int, kvs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        passes = self.latency_model.step_time(batch, 1, kvs)
+        for cost in passes:
+            _checked(cost, type(self).__name__, batch=batch, kv=kvs)
+        return passes
+
     def _fwd_pass(self, batch: int, tokens_per_seq: int, kv: int) -> tuple[float, float]:
-        """Memoized ``step_time`` — a prompt pass and a decode pass reuse
-        the same sub-results across thousands of distinct cache keys."""
+        """Cached ``step_time`` (kernel, comm) — a prompt pass and a
+        decode pass reuse the same sub-results across thousands of
+        distinct cache keys. True-KV decode-shape passes read the KV
+        tables; multi-token (prompt) passes, and compat mode's decode
+        passes (one pinned KV per batch, so a table would be priced
+        for one entry), are memoized one shape at a time."""
+        if tokens_per_seq == 1 and self.representative_kv is None:
+            k, c = self._decode.table(batch, kv, kv + 1,
+                                      self._decode_passes)[:, kv].tolist()
+            return k, c
         key = (batch, tokens_per_seq, kv)
         got = self._pass_memo.get(key)
         if got is None:
-            got = self._pass_memo[key] = self.latency_model.step_time(
-                batch, tokens_per_seq, kv)
+            got = self.latency_model.step_time(batch, tokens_per_seq, kv)
+            for cost in got:
+                _checked(cost, type(self).__name__, batch=batch,
+                         tokens_per_seq=tokens_per_seq, kv=kv)
+            self._pass_memo[key] = got
         return got
 
     def prompt_cost(self, state: BatchState, request: _HasPromptLen) -> float:
@@ -336,13 +422,12 @@ class DenseStepCost(StepCostModel):
         if self.representative_kv is not None:
             # Compat mode pins KV, so the whole run costs one value.
             return np.full(steps, self.decode_cost(state))
-        batch = state.batch
         # mean_kv grows exactly +1 per iteration (every sequence gains one
         # token, so the ceiling-mean shifts by one).
-        def fill(kv: int) -> float:
-            k, c = self._fwd_pass(batch, 1, kv)
-            return k + c
-        return self._runs.run(batch, max(1, state.mean_kv), steps, fill)
+        kv0 = max(1, state.mean_kv)
+        k, c = self._decode.table(state.batch, kv0, kv0 + steps,
+                                  self._decode_passes)[:, kv0:kv0 + steps]
+        return k + c
 
 
 class MoEStepCost(StepCostModel):
@@ -397,8 +482,12 @@ class MoEStepCost(StepCostModel):
                 total = self.moe_model.skewed_token_step(
                     tokens, kv, load_ratio=ratio, stall_time=stall
                 ).total
-            got = self._memo[key] = total
+            got = self._memo[key] = _checked(total, type(self).__name__,
+                                             tokens=tokens, kv=kv)
         return got
+
+    def _run_steps(self, tokens: int, kvs: np.ndarray) -> list[float]:
+        return [self._step(tokens, int(kv)) for kv in kvs]
 
     def prompt_cost(self, state: BatchState, request: _HasPromptLen) -> float:
         spl = getattr(request, "shared_prefix_len", 0)
@@ -413,9 +502,9 @@ class MoEStepCost(StepCostModel):
         return self._step(max(1, state.batch), max(1, state.mean_kv))
 
     def _decode_run_cost(self, state: BatchState, steps: int) -> np.ndarray:
-        tokens = max(1, state.batch)
-        return self._runs.run(tokens, max(1, state.mean_kv), steps,
-                              lambda kv: self._step(tokens, kv))
+        kv0 = max(1, state.mean_kv)
+        return self._runs.table(max(1, state.batch), kv0, kv0 + steps,
+                                self._run_steps)[0, kv0:kv0 + steps].copy()
 
 
 class ZeroStepCost(StepCostModel):
@@ -437,9 +526,15 @@ class ZeroStepCost(StepCostModel):
         key = (batch, tokens_per_seq, kv)
         got = self._memo.get(key)
         if got is None:
-            got = self._memo[key] = self.zero_engine.forward_pass(
-                batch=batch, tokens_per_seq=tokens_per_seq, kv_len=kv).time
+            got = self._memo[key] = _checked(
+                self.zero_engine.forward_pass(
+                    batch=batch, tokens_per_seq=tokens_per_seq, kv_len=kv).time,
+                type(self).__name__, batch=batch, tokens_per_seq=tokens_per_seq,
+                kv=kv)
         return got
+
+    def _run_steps(self, batch: int, kvs: np.ndarray) -> list[float]:
+        return [self._pass(batch, 1, int(kv)) for kv in kvs]
 
     def prompt_cost(self, state: BatchState, request: _HasPromptLen) -> float:
         spl = getattr(request, "shared_prefix_len", 0)
@@ -454,9 +549,9 @@ class ZeroStepCost(StepCostModel):
         return self._pass(max(1, state.batch), 1, max(1, state.mean_kv))
 
     def _decode_run_cost(self, state: BatchState, steps: int) -> np.ndarray:
-        batch = max(1, state.batch)
-        return self._runs.run(batch, max(1, state.mean_kv), steps,
-                              lambda kv: self._pass(batch, 1, kv))
+        kv0 = max(1, state.mean_kv)
+        return self._runs.table(max(1, state.batch), kv0, kv0 + steps,
+                                self._run_steps)[0, kv0:kv0 + steps].copy()
 
 
 def resolve_step_costs(

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..comm.hierarchical import CommGroup, hierarchical_allreduce_time
 from ..comm.primitives import p2p_time
 from ..hardware.specs import DType
@@ -140,7 +142,8 @@ class DenseLatencyModel:
 
     # -- per-step building blocks ------------------------------------------
 
-    def _layer_shape(self, batch: int, tokens_per_seq: int, kv_len: int) -> LayerShape:
+    def _layer_shape(self, batch: int, tokens_per_seq: int,
+                     kv_len: int | np.ndarray) -> LayerShape:
         return LayerShape(
             hidden=self.config.hidden,
             heads=self.config.heads,
@@ -152,8 +155,16 @@ class DenseLatencyModel:
             ffn_mult=self.config.ffn_mult,
         )
 
-    def layer_time(self, batch: int, tokens_per_seq: int, kv_len: int) -> tuple[float, float]:
-        """(kernel seconds, comm seconds) for one layer on one TP rank."""
+    def layer_time(self, batch: int, tokens_per_seq: int,
+                   kv_len: int | np.ndarray) -> tuple[float, float]:
+        """(kernel seconds, comm seconds) for one layer on one TP rank.
+
+        ``kv_len`` may be a 1-D integer ndarray: both results are then
+        arrays over it, element ``i`` bit-identical to the scalar call at
+        ``kv_len[i]``. Only the attention bytes and flops depend on KV;
+        the fusion partition, GeMM efficiencies and the all-reduce are
+        priced once from the token count.
+        """
         shape = self._layer_shape(batch, tokens_per_seq, kv_len)
         kernel = self.kernel_model.layer_cost(shape).total_time
         comm = 0.0
@@ -168,6 +179,8 @@ class DenseLatencyModel:
                     self.cluster.inter_link, act_bytes, self.tp
                 ).total
             comm = 2.0 * one  # two all-reduces per layer (Sec. IV-A)
+        if isinstance(kv_len, np.ndarray):
+            comm = np.full(kv_len.shape, comm)
         return kernel, comm
 
     def lm_head_time(self, batch: int, tokens_per_seq: int) -> float:
@@ -180,9 +193,13 @@ class DenseLatencyModel:
         peak = self.cluster.gpu.peak_flops(self.profile.compute_dtype) * 0.6
         return max(w_bytes / bw, flops / peak)
 
-    def step_time(self, batch: int, tokens_per_seq: int, kv_len: int) -> tuple[float, float]:
+    def step_time(self, batch: int, tokens_per_seq: int,
+                  kv_len: int | np.ndarray) -> tuple[float, float]:
         """(kernel, comm) seconds for a full forward pass of the model
-        (all layers; the per-stage division is the scheduler's business)."""
+        (all layers; the per-stage division is the scheduler's business).
+
+        Like :meth:`layer_time`, a 1-D integer ndarray ``kv_len`` prices
+        every KV length in one call and returns two arrays."""
         k1, c1 = self.layer_time(batch, tokens_per_seq, kv_len)
         kernels = k1 * self.config.layers + self.lm_head_time(batch, tokens_per_seq)
         comm = c1 * self.config.layers

@@ -11,11 +11,19 @@ the left branch (weight streaming, Sec. III-A), large-batch the right
 SBI-GeMM bandwidth curves, FP16 vs INT8 peaks and weight traffic — and
 whether launch cost is paid per kernel (eager), per kernel minus dispatch
 (compiled runtime) or eliminated entirely (CUDA graph, Sec. III-D).
+
+A shape whose ``kv_len`` is an array prices a whole KV axis in one pass:
+the fusion partition and the GeMM efficiency curves depend on the token
+count only and stay scalar, while the KV-dependent bytes and flops flow
+through as arrays and meet the ``max`` terms via ``np.maximum`` — the
+same IEEE operations per element as the scalar path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..hardware.specs import DType, GPUSpec
 from .fusion import FusedRegion, partition
@@ -33,6 +41,13 @@ __all__ = ["RegionTime", "LayerCost", "KernelCostModel"]
 
 # Residual per-node cost of replaying a kernel inside a CUDA graph.
 _GRAPH_NODE_OVERHEAD = 0.3e-6
+
+
+def _maximum(a, b):
+    """``max`` that also takes KV-axis arrays (elementwise, same value)."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.maximum(a, b)
+    return max(a, b)
 
 
 @dataclass(frozen=True)
@@ -57,8 +72,8 @@ class RegionTime:
     @property
     def total(self) -> float:
         """Roofline time, with launch overhead hidden behind long kernels."""
-        exec_time = max(self.memory_time, self.compute_time)
-        return max(exec_time, self.launch_time) + self.dispatch_time
+        exec_time = _maximum(self.memory_time, self.compute_time)
+        return _maximum(exec_time, self.launch_time) + self.dispatch_time
 
     @property
     def bound(self) -> str:
@@ -201,7 +216,11 @@ class KernelCostModel:
             # keep a finite term so the max() is well defined.
             peak = self.gpu.peak_flops(DType.FP32)
             eff = 0.5
-        return region.flops / (peak * eff) if region.flops else 0.0
+        flops = region.flops
+        # A KV-axis array of flops divides elementwise (0 / x == 0.0).
+        if isinstance(flops, np.ndarray) or flops:
+            return flops / (peak * eff)
+        return 0.0
 
     def _launch_cost(self) -> float:
         if self.profile.cuda_graph:

@@ -12,7 +12,10 @@ Shapes are parameterized the way inference sees them (Sec. IV-B):
   this step (the full prompt during prompt processing, 1 during token
   generation),
 * ``kv_len`` total attention span per sequence (prompt + generated so
-  far) — the KV-cache read that training-oriented kernels do not model,
+  far) — the KV-cache read that training-oriented kernels do not model.
+  It may be a 1-D integer ndarray: KV enters the chain only through
+  ``+ * /`` (and the cost model's ``max``), so one array shape prices a
+  whole KV axis, element for element bit-identical to the scalar shapes,
 * ``tp_degree`` tensor-parallel ways: weights, heads and attention work
   divide by it; activations at region boundaries do not.
 """
@@ -20,6 +23,8 @@ Shapes are parameterized the way inference sees them (Sec. IV-B):
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..hardware.specs import DType
 from .ops import HEAD, HIDDEN, Op, OpKind, TOKEN
@@ -29,13 +34,18 @@ __all__ = ["LayerShape", "transformer_layer_ops", "moe_expert_ffn_ops"]
 
 @dataclass(frozen=True)
 class LayerShape:
-    """Shape of one transformer-layer invocation on one tensor-parallel rank."""
+    """Shape of one transformer-layer invocation on one tensor-parallel rank.
+
+    ``kv_len`` is an int or a 1-D integer ndarray of KV lengths; in the
+    array case every KV-dependent op footprint (and the cost priced from
+    it) is an array over the same axis.
+    """
 
     hidden: int
     heads: int
     batch: int
     tokens_per_seq: int
-    kv_len: int
+    kv_len: int | np.ndarray
     dtype: DType = DType.FP16
     tp_degree: int = 1
     ffn_mult: int = 4
@@ -43,7 +53,14 @@ class LayerShape:
     def __post_init__(self) -> None:
         if min(self.hidden, self.heads, self.batch, self.tokens_per_seq) < 1:
             raise ValueError("hidden, heads, batch and tokens_per_seq must be >= 1")
-        if self.kv_len < self.tokens_per_seq:
+        kv = self.kv_len
+        if isinstance(kv, np.ndarray):
+            if kv.ndim != 1 or kv.dtype.kind not in "iu":
+                raise ValueError("a kv_len array must be 1-D and integer")
+            short = np.any(kv < self.tokens_per_seq)
+        else:
+            short = kv < self.tokens_per_seq
+        if short:
             raise ValueError("kv_len must include the tokens being processed")
         if self.hidden % self.heads:
             raise ValueError("hidden must be divisible by heads")

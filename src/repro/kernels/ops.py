@@ -20,6 +20,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = ["OpKind", "Op", "TOKEN", "HEAD", "HIDDEN", "SEQUENCE"]
 
 # Canonical iteration-space dimension names.
@@ -61,7 +63,10 @@ class Op:
 
     def __post_init__(self) -> None:
         for f in ("flops", "weight_bytes", "act_in_bytes", "act_out_bytes"):
-            if getattr(self, f) < 0:
+            v = getattr(self, f)
+            # KV-dependent footprints are arrays when a whole KV axis is
+            # priced at once (see LayerShape.kv_len).
+            if np.any(v < 0) if isinstance(v, np.ndarray) else v < 0:
                 raise ValueError(f"{f} must be >= 0 for op {self.name!r}")
 
     @property

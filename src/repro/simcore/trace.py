@@ -77,12 +77,23 @@ class Timeline:
         per replica under ``replica{i}/`` prefixes into a single
         chrome-trace export. Returns ``self`` for chaining.
         """
+        # A new lane takes the source's already-sorted items in one
+        # extend (spans are immutable, so sharing them is safe); only a
+        # lane that already holds items needs the ordered inserts.
         for lane, spans in other._lanes.items():
-            for s in spans:
-                self.record(prefix + lane, s.start, s.end, s.label)
+            dest = self._lanes.setdefault(prefix + lane, [])
+            if dest:
+                for s in spans:
+                    self.record(prefix + lane, s.start, s.end, s.label)
+            else:
+                dest.extend(spans)
         for lane, instants in other._instants.items():
-            for t, label in instants:
-                self.record_instant(prefix + lane, t, label)
+            dest = self._instants.setdefault(prefix + lane, [])
+            if dest:
+                for t, label in instants:
+                    self.record_instant(prefix + lane, t, label)
+            else:
+                dest.extend(instants)
         return self
 
     def lanes(self) -> list[str]:

@@ -7,8 +7,11 @@ contract every model family must satisfy: finite, strictly positive
 costs, monotone non-decreasing in batch size and KV length.
 """
 
+import collections
+import functools
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from repro.engine import (
 from repro.fleet import simulate_fleet
 from repro.hardware import dgx2_v100, dgx_a100_cluster
 from repro.model import DENSE_ZOO, MOE_PARALLELISM, MOE_ZOO, get_model
+from repro.scenarios import chat_scenario
 from repro.zero import ZeroInferenceEngine
 
 
@@ -355,6 +359,167 @@ class TestDecodeRunCost:
         assert s.advanced(3) == BatchState((8, 12))
         with pytest.raises(ValueError):
             s.advanced(-1)
+
+
+class _CountingLatency:
+    """Delegates to a real latency model, logging every ``step_time``
+    call's ``(batch, tokens_per_seq, kv_len)``."""
+
+    def __init__(self, model):
+        self.model = model
+        self.calls = []
+
+    def step_time(self, batch, tokens_per_seq, kv_len):
+        self.calls.append((batch, tokens_per_seq, kv_len))
+        return self.model.step_time(batch, tokens_per_seq, kv_len)
+
+
+class _ScalarDenseReference(StepCostModel):
+    """Dense pricing written out with scalar ``step_time`` calls only, in
+    the adapter's summation order — the per-step oracle's prices."""
+
+    def __init__(self, model):
+        self.model = model
+        self._step = functools.lru_cache(maxsize=None)(model.step_time)
+
+    def prompt_cost(self, state, request):
+        spl = getattr(request, "shared_prefix_len", 0)
+        k, c = self._step(1, request.prompt_len - spl, request.prompt_len)
+        if state.batch:
+            dk, dc = self._step(state.batch, 1, max(1, state.mean_kv))
+            k, c = k + dk, c + dc
+        return k + c
+
+    def decode_cost(self, state):
+        k, c = self._step(max(1, state.batch), 1, max(1, state.mean_kv))
+        return k + c
+
+
+class TestDenseFillAhead:
+    """True-KV dense pricing fills each batch size's cost table ahead,
+    a whole KV range per vectorized ``step_time`` call."""
+
+    def _chat(self):
+        return chat_scenario(num_sessions=160, session_rate=200.0,
+                             mean_prompt=128, mean_gen=24, num_requests=240,
+                             seed=3)
+
+    def test_fleet_fills_stay_per_batch_constant(self):
+        model = DenseLatencyModel(DENSE_ZOO["gpt-13b"], dgx_a100_cluster(1),
+                                  tp=4)
+        counting = _CountingLatency(model)
+        trace = self._chat()
+        kwargs = dict(num_replicas=16, max_batch=16,
+                      routing="session_affinity", prefix_sharing=True,
+                      detail="full")
+        fast = simulate_fleet(trace, costs=DenseStepCost(counting), **kwargs)
+        decode = [(b, np.size(kv)) for b, t, kv in counting.calls if t == 1]
+        per_batch = collections.Counter(b for b, _ in decode)
+        assert per_batch, "the fleet priced no decode passes"
+        # One fill when a batch size is first seen, one per doubling of
+        # its table after that (tables start at >= 64 entries). A
+        # fallback to per-entry fills would make hundreds per batch.
+        longest = max(r.prompt_len + r.gen_tokens for r in trace.requests)
+        doublings = math.ceil(math.log2(longest / 64))
+        assert max(per_batch.values()) <= 1 + doublings
+        assert all(n >= 63 for _, n in decode)
+        # Multi-token prompt passes stay scalar, one per distinct shape.
+        prompts = [(b, t, kv) for b, t, kv in counting.calls if t > 1]
+        assert all(isinstance(kv, int) for _, _, kv in prompts)
+        assert len(prompts) == len(set(prompts))
+
+        oracle = simulate_fleet(trace, costs=_ScalarDenseReference(model),
+                                _max_run_steps=1, **kwargs)
+        assert fast == oracle
+        assert fast.timeline.to_rows() == oracle.timeline.to_rows()
+
+    def test_prompt_riders_read_the_decode_tables(self):
+        model = DenseLatencyModel(DENSE_ZOO["gpt-13b"], dgx_a100_cluster(1),
+                                  tp=4)
+        counting = _CountingLatency(model)
+        cost = DenseStepCost(counting)
+        reference = _ScalarDenseReference(model)
+        state = BatchState((90, 130, 200))
+        cost.decode_run_cost(state, 50)
+        filled = len(counting.calls)
+        for plen, spl in [(64, 0), (300, 299), (140, 100)]:
+            req = PromptShape(plen, spl)
+            assert cost.prompt_cost(state, req) == reference.prompt_cost(state, req)
+        # The riders (batch 3, KV 140) hit the filled table; only the
+        # multi-token prompt passes and the batch-1 table are new.
+        new = counting.calls[filled:]
+        assert (3, 1) not in [(b, t) for b, t, _ in new]
+        assert sorted(t for _, t, _ in new) == [1, 40, 64]
+
+    def test_moe_and_zero_stay_lazy(self, moe_cost, zero_cost):
+        """Scalar-priced adapters evaluate only the KV lengths a run
+        visits, once each."""
+        for fresh in (MoEStepCost(moe_cost.moe_model),
+                      ZeroStepCost(zero_cost.zero_engine)):
+            memo = fresh._memo
+            fresh.decode_run_cost(BatchState.uniform(2, 100), 30)
+            assert len(memo) == 30
+            fresh.decode_run_cost(BatchState.uniform(2, 110), 30)
+            assert len(memo) == 40
+
+
+class TestBadCostsFailLoudly:
+    """A non-finite or negative price raises where it is first priced,
+    naming the adapter and the shape, instead of leaking into reports."""
+
+    def _dense(self, bad_kv, value):
+        class Latency:
+            def step_time(self, batch, tokens_per_seq, kv_len):
+                kernel = np.where(np.asarray(kv_len) == bad_kv, value, 1e-3)
+                comm = np.zeros_like(kernel)
+                if np.ndim(kv_len):
+                    return kernel, comm
+                return float(kernel), 0.0
+        return DenseStepCost(Latency())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1e-3])
+    def test_dense_decode_fill(self, value):
+        cost = self._dense(130, value)
+        with pytest.raises(ValueError,
+                           match=r"DenseStepCost.*batch=2, kv=130\b"):
+            cost.decode_run_cost(BatchState.uniform(2, 128), 5)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            cost.decode_cost(BatchState.uniform(3, 200))
+
+    def test_dense_prompt_fill(self):
+        cost = self._dense(48, math.nan)
+        with pytest.raises(ValueError, match=r"DenseStepCost.*"
+                           r"batch=1, tokens_per_seq=48, kv=48"):
+            cost.prompt_cost(BatchState(()), PromptShape(48))
+
+    def test_moe(self):
+        class Moe:
+            def token_step(self, tokens, kv):
+                return SimpleNamespace(total=math.nan if kv == 7 else 1e-3)
+        cost = MoEStepCost(Moe())
+        with pytest.raises(ValueError, match=r"MoEStepCost.*tokens=2, kv=7"):
+            cost.decode_run_cost(BatchState.uniform(2, 5), 4)
+        # Not silently retried as "unpriced" on the next run either.
+        with pytest.raises(ValueError, match="MoEStepCost"):
+            cost.decode_run_cost(BatchState.uniform(2, 5), 4)
+
+    def test_zero(self):
+        class Engine:
+            def forward_pass(self, *, batch, tokens_per_seq, kv_len):
+                return SimpleNamespace(time=-1.0 if tokens_per_seq > 1 else 1e-3)
+        cost = ZeroStepCost(Engine())
+        assert cost.decode_cost(BatchState.uniform(2, 9)) == 1e-3
+        with pytest.raises(ValueError, match=r"ZeroStepCost.*"
+                           r"batch=1, tokens_per_seq=9, kv=9"):
+            cost.prompt_cost(BatchState(()), PromptShape(9))
+
+    def test_closures(self):
+        cost = ClosureStepCost(lambda b, p: math.inf, lambda b: math.nan)
+        with pytest.raises(ValueError,
+                           match=r"ClosureStepCost.*batch=2, prompt_len=16"):
+            cost.prompt_cost(BatchState.uniform(1, 4), PromptShape(16))
+        with pytest.raises(ValueError, match=r"ClosureStepCost.*batch=3"):
+            cost.decode_run_cost(BatchState.uniform(3, 4), 6)
 
 
 class TestMoEServingEndToEnd:

@@ -1,9 +1,13 @@
 """Tests for the dense end-to-end latency model."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import DenseLatencyModel, InferenceEngine, Workload
 from repro.hardware import dgx_a100_cluster
+from repro.kernels import PROFILE_REGISTRY
+from repro.kernels.profiles import DEEPSPEED_FP16
 from repro.model import DENSE_ZOO
 
 CLUSTER = dgx_a100_cluster(8)
@@ -155,3 +159,56 @@ class TestInferenceEngineFacade:
         eng = InferenceEngine(tiny, CLUSTER, tp=1, pp=1)
         m = eng.build_functional_model()
         assert m.forward(np.array([[1, 2]])).shape == (1, 2, 50)
+
+
+# Every shipped profile (NONE/ELEMENTWISE/ATTENTION/DEEP fusion, INT8,
+# CUDA graphs on and off).
+_PROFILES = [*PROFILE_REGISTRY.values(),
+             DEEPSPEED_FP16.with_(name="DeepSpeed-eager", cuda_graph=False)]
+# Two nodes, so TP=16 crosses the node boundary and hierarchical_comm
+# picks between the two all-reduce formulas.
+_KV_CLUSTER = dgx_a100_cluster(2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    profile=st.sampled_from(_PROFILES),
+    tp=st.sampled_from([1, 2, 4, 8, 16]),
+    hierarchical=st.booleans(),
+    batch=st.integers(1, 64),
+    tokens_per_seq=st.sampled_from([1, 1, 1, 2, 7, 16, 17, 128]),
+    extra=st.lists(st.integers(0, 2048), min_size=0, max_size=24),
+)
+def test_kv_array_step_time_is_bitwise_scalar(profile, tp, hierarchical, batch,
+                                              tokens_per_seq, extra):
+    """``step_time`` over a KV array equals the scalar loop element for
+    element — exact ``==``, not approx — including ``kv == tokens``."""
+    model = DenseLatencyModel(DENSE_ZOO["gpt-j-6b"], _KV_CLUSTER, tp=tp,
+                              profile=profile, hierarchical_comm=hierarchical)
+    kvs = np.array([tokens_per_seq] + [tokens_per_seq + e for e in extra])
+    kernel, comm = model.step_time(batch, tokens_per_seq, kvs)
+    assert kernel.shape == comm.shape == kvs.shape
+    for i, kv in enumerate(kvs.tolist()):
+        k, c = model.step_time(batch, tokens_per_seq, kv)
+        assert (kernel[i], comm[i]) == (k, c)
+        lk, lc = model.layer_time(batch, tokens_per_seq, kv)
+        assert model.layer_time(batch, tokens_per_seq, kvs[i:i + 1]) == (lk, lc)
+
+
+@pytest.mark.parametrize("tokens_per_seq", [1, 16])
+def test_kv_array_shorter_than_tokens_raises_like_scalar(tokens_per_seq):
+    model = DenseLatencyModel(DENSE_ZOO["gpt-j-6b"], _KV_CLUSTER, tp=2)
+    short = tokens_per_seq - 1
+    with pytest.raises(ValueError) as scalar:
+        model.step_time(4, tokens_per_seq, short)
+    with pytest.raises(ValueError) as array:
+        model.step_time(4, tokens_per_seq,
+                        np.array([tokens_per_seq + 5, short, 900]))
+    assert str(array.value) == str(scalar.value)
+
+
+def test_kv_array_must_be_1d_integer():
+    model = DenseLatencyModel(DENSE_ZOO["gpt-j-6b"], _KV_CLUSTER)
+    for bad in (np.array([[4, 5]]), np.array([4.0, 5.0])):
+        with pytest.raises(ValueError, match="1-D and integer"):
+            model.step_time(1, 1, bad)

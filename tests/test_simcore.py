@@ -301,6 +301,48 @@ class TestTimeline:
         assert a.busy_time("l") == pytest.approx(2.0)
         assert a.has_overlap("l")
 
+    def test_merge_matches_record_by_record(self):
+        def replica(offset):
+            tl = Timeline()
+            for start, end, label in [(3.0, 4.0, "decode"), (0.0, 1.0, "prefill"),
+                                      (1.0, 3.0, "decode"), (1.0, 3.0, "a")]:
+                tl.record("server", start + offset, end + offset, label)
+            tl.record("kv", offset, offset + 0.5, "fork")
+            for t, label in [(2.0, "admit"), (0.5, "arrive"), (2.0, "retire")]:
+                tl.record_instant("server", t + offset, label)
+            return tl
+
+        def by_record(dest, src, prefix):
+            # The merge contract: the same as re-recording every item.
+            for lane in src.lanes():
+                for sp in src.spans(lane):
+                    dest.record(prefix + lane, sp.start, sp.end, sp.label)
+            for lane in src._instants:
+                for t, label in src.instants(lane):
+                    dest.record_instant(prefix + lane, t, label)
+
+        fast, slow = Timeline(), Timeline()
+        for tl in (fast, slow):  # a non-empty destination lane
+            tl.record("replica1/server", 0.25, 2.5, "own")
+            tl.record_instant("replica1/server", 1.5, "own")
+        for i in range(3):
+            src = replica(0.1 * i)
+            fast.merge(src, prefix=f"replica{i}/")
+            by_record(slow, src, f"replica{i}/")
+            fast.merge(src, prefix=f"replica{i}/")  # and into a filled lane
+            by_record(slow, src, f"replica{i}/")
+        assert fast.lanes() == slow.lanes()
+        for lane in fast.lanes():
+            assert fast.spans(lane) == slow.spans(lane)
+            assert fast.instants(lane) == slow.instants(lane)
+        assert fast.to_chrome_trace() == slow.to_chrome_trace()
+        # The destination's lanes stay its own: merging more never
+        # reaches back into the source.
+        src = replica(0.0)
+        dest = Timeline().merge(src)
+        dest.record("server", 9.0, 10.0, "later")
+        assert src.spans("server")[-1].label == "decode"
+
 
 @given(
     durations=st.lists(
