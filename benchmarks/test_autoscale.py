@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.autoscale import AutoscaleConfig
-from repro.engine import synthesize_trace
+from repro.engine import ClosureStepCost, synthesize_trace
 from repro.fleet import simulate_fleet
 
 pytestmark = pytest.mark.skipif(
@@ -45,8 +45,8 @@ MEAN_PROMPT, MEAN_GEN = 32, 16
 MAX_BATCH = 4
 SEED = 33
 
-COSTS = dict(prompt_time=lambda b, p: 0.02 + 0.001 * p,
-             step_time=lambda b: 0.01 + 0.001 * b)
+COSTS = dict(costs=ClosureStepCost(lambda b, p: 0.02 + 0.001 * p,
+                                   lambda b: 0.01 + 0.001 * b))
 
 AUTOSCALE = AutoscaleConfig(
     min_replicas=1, max_replicas=6, ttft_slo_s=0.3,

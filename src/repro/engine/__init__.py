@@ -9,7 +9,6 @@ from .costs import (
     PromptShape,
     StepCostModel,
     ZeroStepCost,
-    resolve_step_costs,
 )
 from .generation import GenerationRequest, GenerationSession
 from .inference import InferenceEngine, MoEInferenceEngine
@@ -18,11 +17,11 @@ from .moe import MoELatencyModel, MoEStepBreakdown
 from .scheduler import ADMISSION_POLICIES, SchedRequest, Scheduler, SchedulerEvent
 from .serving_sim import (
     SUMMARY_DETAIL_THRESHOLD,
+    ReplicaEngine,
     Request,
     ServingReport,
     WorkloadTrace,
     batch_state_of,
-    serving_step_times,
     simulate_serving,
     simulate_serving_reference,
     synthesize_trace,
@@ -59,7 +58,6 @@ __all__ = [
     "ZeroStepCost",
     "batch_state_of",
     "moe_max_batch_size",
-    "resolve_step_costs",
     "tune_serving_deployment",
     "DenseLatencyModel",
     "GenerationRequest",
@@ -70,11 +68,11 @@ __all__ = [
     "MoELatencyModel",
     "MoEStepBreakdown",
     "OffloadReport",
+    "ReplicaEngine",
     "Request",
     "ServingReport",
     "WorkloadTrace",
     "SUMMARY_DETAIL_THRESHOLD",
-    "serving_step_times",
     "simulate_serving",
     "simulate_serving_reference",
     "synthesize_trace",

@@ -4,13 +4,9 @@ The serving ladder — :class:`~repro.engine.scheduler.Scheduler` →
 :func:`~repro.engine.serving_sim.simulate_serving` →
 :func:`~repro.fleet.sim.simulate_fleet` → the tuners — makes *lifecycle*
 decisions; what turns those decisions into seconds is a pricing model.
-Historically that seam was a pair of closures built by
-:func:`~repro.engine.serving_sim.serving_step_times` around the dense
-latency model only, and every decode step was priced at one
-representative KV length. This module replaces the closure pair with a
-first-class interface so any model family (dense, sparse/MoE,
-ZeRO-offloaded — the paper's three pillars, Secs. IV-VI) plugs into the
-same serving/fleet/tuning stack with one adapter:
+This module is that seam, one interface so any model family (dense,
+sparse/MoE, ZeRO-offloaded — the paper's three pillars, Secs. IV-VI)
+plugs into the same serving/fleet/tuning stack with one adapter:
 
 * :class:`BatchState` — the live batch at pricing time: one KV length
   per running sequence (prompt + tokens generated so far);
@@ -20,15 +16,16 @@ same serving/fleet/tuning stack with one adapter:
   scheduling); ``decode_cost(state)`` prices one decode iteration that
   generates one token for every sequence in ``state``;
 * :class:`DenseStepCost` — wraps :class:`~repro.engine.latency
-  .DenseLatencyModel`. ``representative_kv`` selects the legacy compat
-  mode (bit-for-bit the old ``serving_step_times`` numbers); the default
-  true-KV mode prices each decode at the batch's actual KV lengths;
+  .DenseLatencyModel`. ``representative_kv`` selects the compat mode
+  (one representative KV length for every pass, as the tuners price);
+  the default true-KV mode prices each decode at the batch's actual KV
+  lengths;
 * :class:`MoEStepCost` — wraps :class:`~repro.engine.moe
   .MoELatencyModel` (gating + all-to-all + expert FFN per step);
 * :class:`ZeroStepCost` — wraps :class:`~repro.zero.inference
   .ZeroInferenceEngine`'s streamed forward pass;
-* :class:`ClosureStepCost` — wraps a legacy ``(prompt_time,
-  step_time)`` closure pair, so existing call sites keep working.
+* :class:`ClosureStepCost` — wraps a ``(prompt_time, step_time)``
+  closure pair, for hand-written toy costs in tests and examples.
 
 Adapters memoize on the (batch, kv, prompt_len) shapes they price —
 a serving replay re-prices the same few shapes thousands of times.
@@ -58,7 +55,7 @@ price KV through scalar-only terms, so their tables fill lazily, one
 scalar evaluation per KV length a run visits.
 
 Every priced value is checked once, where it enters a cache or memo (or
-leaves a legacy closure): a non-finite or negative cost raises a
+leaves a closure): a non-finite or negative cost raises a
 ``ValueError`` naming the adapter and the shape instead of leaking into
 reports.
 """
@@ -80,7 +77,6 @@ __all__ = [
     "DenseStepCost",
     "MoEStepCost",
     "ZeroStepCost",
-    "resolve_step_costs",
 ]
 
 
@@ -303,15 +299,15 @@ class StepCostModel(ABC):
 
 
 class ClosureStepCost(StepCostModel):
-    """Adapter over the legacy ``(prompt_time, step_time)`` closure pair.
+    """Adapter over a ``(prompt_time, step_time)`` closure pair.
 
     ``prompt_time(batch, prompt_len)`` takes the batch size *including*
-    the admitted request (the pre-refactor convention); ``step_time
-    (batch)`` the live batch size. State KV contents are ignored — the
-    closures never saw them either. Likewise prefix-blind: a prompt with
-    ``shared_prefix_len`` set still pays ``prompt_time`` on its full
-    length, because the closure signature has no slot for the split
-    (use :class:`DenseStepCost` and friends for prefix-aware pricing).
+    the admitted request; ``step_time(batch)`` takes the live batch
+    size. State KV contents are ignored: the closures see batch sizes
+    only. Likewise prefix-blind: a prompt with ``shared_prefix_len`` set
+    still pays ``prompt_time`` on its full length, because the closure
+    signature has no slot for the split (use :class:`DenseStepCost` and
+    friends for prefix-aware pricing).
     """
 
     def __init__(
@@ -341,9 +337,7 @@ class DenseStepCost(StepCostModel):
 
     ``representative_kv`` selects the compat mode: every decode (and
     every rider folded into a prompt pass) is priced at that one KV
-    length, reproducing the deprecated
-    :func:`~repro.engine.serving_sim.serving_step_times` closures
-    bit-for-bit (they used ``mean_prompt + mean_gen // 2``). With the
+    length; the tuners pass ``mean_prompt + mean_gen // 2``. With the
     default ``None``, each call is priced at the live batch's actual
     KV-length distribution (the ceiling-mean, exact for the
     linear-in-KV attention term).
@@ -552,25 +546,3 @@ class ZeroStepCost(StepCostModel):
         kv0 = max(1, state.mean_kv)
         return self._runs.table(max(1, state.batch), kv0, kv0 + steps,
                                 self._run_steps)[0, kv0:kv0 + steps].copy()
-
-
-def resolve_step_costs(
-    costs: StepCostModel | None,
-    prompt_time: Callable[[int, int], float] | None,
-    step_time: Callable[[int], float] | None,
-) -> StepCostModel:
-    """Normalize the dual pricing interface of the serving entry points.
-
-    Callers pass either ``costs`` (a :class:`StepCostModel`) or the
-    legacy ``prompt_time``/``step_time`` closure pair — never both.
-    """
-    if costs is not None:
-        if prompt_time is not None or step_time is not None:
-            raise ValueError(
-                "pass either costs= or prompt_time=/step_time=, not both")
-        return costs
-    if prompt_time is None or step_time is None:
-        raise ValueError(
-            "pricing required: pass costs= (a StepCostModel) or both "
-            "prompt_time= and step_time=")
-    return ClosureStepCost(prompt_time, step_time)

@@ -9,7 +9,14 @@ whose per-iteration costs come from any :class:`~repro.engine.costs
 time-to-first-token and end-to-end latency percentiles plus sustained
 throughput — the numbers an operator actually quotes against an SLA.
 
-Admission and retirement decisions are **not** made here: the replay
+The server is one :class:`ReplicaEngine`, the only priced replica loop
+in the package: :func:`simulate_serving` runs a single engine until it
+is idle, and :func:`~repro.fleet.sim.simulate_fleet` interleaves many of
+them behind a router, adding only the fleet lifecycle (crashes, drains,
+up-time). :func:`simulate_serving_reference` is the independent
+per-step oracle the engine is tested against.
+
+Admission and retirement decisions are **not** made here: the engine
 drives the same :class:`~repro.engine.scheduler.Scheduler` that the
 functional :class:`~repro.engine.generation.GenerationSession` uses, and
 merely *prices* its decisions with the cost model — so the analytical
@@ -20,16 +27,17 @@ on the report for chrome-trace export.
 
 from __future__ import annotations
 
-import warnings
+import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..model.paged_kv import blocks_needed
 from ..rng import SeedLike, as_generator
 from ..simcore.trace import Timeline
-from .costs import BatchState, DenseStepCost, PromptShape, StepCostModel, resolve_step_costs
+from .costs import BatchState, PromptShape, StepCostModel
 from .report_stats import ReportStats
 from .scheduler import SchedRequest, Scheduler
 
@@ -38,9 +46,9 @@ __all__ = [
     "WorkloadTrace",
     "synthesize_trace",
     "ServingReport",
+    "ReplicaEngine",
     "simulate_serving",
     "simulate_serving_reference",
-    "serving_step_times",
     "batch_state_of",
     "SUMMARY_DETAIL_THRESHOLD",
 ]
@@ -92,8 +100,22 @@ class Request:
     shared_prefix_len: int = 0
 
     def __post_init__(self) -> None:
-        if self.arrival < 0 or self.prompt_len < 1 or self.gen_tokens < 1:
-            raise ValueError("invalid request parameters")
+        if not 0 <= self.arrival < math.inf:
+            raise ValueError(
+                f"request {self.request_id}: arrival={self.arrival!r} must "
+                f"be a finite time >= 0 (seconds from the trace start); "
+                f"shift the trace so its first arrival is at 0")
+        if self.prompt_len < 1:
+            raise ValueError(
+                f"request {self.request_id}: prompt_len={self.prompt_len!r} "
+                f"must be >= 1 because the prompt pass needs a token to "
+                f"attend over; give an empty prompt one start token")
+        if self.gen_tokens < 1:
+            raise ValueError(
+                f"request {self.request_id}: gen_tokens={self.gen_tokens!r} "
+                f"must be >= 1 because a request emits at least its first "
+                f"token from the prompt pass; use gen_tokens=1 for a "
+                f"prefill-only request")
         if self.turn_index < 0:
             raise ValueError("turn_index must be >= 0")
         if not 0 <= self.shared_prefix_len < self.prompt_len:
@@ -130,7 +152,14 @@ class WorkloadTrace:
             raise ValueError("expert_skew must be >= 0 when given")
         arrivals = [r.arrival for r in self.requests]
         if arrivals != sorted(arrivals):
-            raise ValueError("requests must be sorted by arrival time")
+            i = next(i for i in range(1, len(arrivals))
+                     if arrivals[i] < arrivals[i - 1])
+            raise ValueError(
+                f"requests must be sorted by arrival time: index {i} "
+                f"(request {self.requests[i].request_id}) arrives at "
+                f"{arrivals[i]!r}, before index {i - 1} at "
+                f"{arrivals[i - 1]!r}; pass "
+                f"sorted(requests, key=lambda r: r.arrival)")
         ids = [r.request_id for r in self.requests]
         if len(set(ids)) != len(ids):
             raise ValueError("request ids must be unique within a trace "
@@ -426,12 +455,240 @@ def _resolve_detail(detail: str, num_requests: int) -> bool:
     return detail == "full"
 
 
+class ReplicaEngine:
+    """One priced replica: the continuous-batching server as atomic
+    actions.
+
+    This is the package's only priced replica loop.
+    :func:`simulate_serving` runs one engine until it is idle;
+    :func:`~repro.fleet.sim.simulate_fleet` interleaves many of them
+    with arrivals, faults and control epochs, and adds the fleet
+    lifecycle around them.
+
+    ``requests`` is the whole trace: it sizes ``detail="auto"`` (see
+    :func:`simulate_serving`) and keys the KV ledger. Requests reach the
+    engine only through :meth:`deliver`. Each waits in the
+    inbox until the engine's clock reaches its delivery time and then
+    joins the scheduler's queue ahead of the next action. Every
+    :meth:`perform_action` admits one request, paying its prompt pass,
+    or else decodes a whole stretch of iterations. The engine's records
+    (``admit_start``, ``first``, ``finish``, ``tokens``, ``kv``,
+    ``timeline``) are what the reports are built from.
+
+    Two pieces of state only a fleet moves keep neutral defaults: a
+    scripted slowdown multiplies every cost from ``slow_from`` (``inf``)
+    on by ``slow_factor``, and ``ttft_sink`` (``None``), when it is a
+    list, collects ``(time, ttft)`` samples for an autoscaler.
+    """
+
+    def __init__(
+        self,
+        requests: Sequence[Request],
+        *,
+        costs: StepCostModel,
+        max_batch: int,
+        policy: str = "fcfs",
+        detail: str = "auto",
+        kv_block_size: int = 16,
+        kv_num_layers: int = 1,
+        prefix_sharing: bool = True,
+        index: int = 0,
+        start: float = 0.0,
+        ttft_sink: list[tuple[float, float]] | None = None,
+    ) -> None:
+        if max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
+        self.full = _resolve_detail(detail, len(requests))
+        self.index = index
+        self.max_batch = max_batch
+        self.policy = policy
+        self.costs = costs
+        self.sched = Scheduler(max_batch, policy=policy)
+        # KV pool ledger over ``requests``; on a fleet replica its
+        # counters span crash incarnations.
+        self.kv = _KvTracker(requests, block_size=kv_block_size,
+                             num_layers=kv_num_layers,
+                             prefix_sharing=prefix_sharing)
+        self.now = start
+        self.slow_from = math.inf
+        self.slow_factor = 1.0
+        self.ttft_sink = ttft_sink
+        self.mid_round = False  # admitted since the last decode stretch
+        self.inbox: deque[tuple[float, Request]] = deque()
+        self.by_id: dict[int, Request] = {}
+        # Incremental batch view: rid -> prompt + generated, admission
+        # order (mirrors ``sched.active``) — no per-step tuple rebuilds.
+        self.live_kv: dict[int, int] = {}
+        self.admit_start: dict[int, float] = {}
+        self.first: dict[int, float] = {}  # end of the prompt pass
+        self.finish: dict[int, float] = {}
+        self.tokens = 0  # every token generated here
+        self.timeline = Timeline()
+
+    def deliver(self, request: Request, t: float) -> None:
+        """Hand over a request that reaches this replica at time ``t``."""
+        self.inbox.append((t, request))
+        self.by_id[request.request_id] = request
+
+    def next_action_time(self) -> float:
+        """Start time of the next atomic action (inf if idle)."""
+        if self.sched.num_active or self.sched.num_waiting:
+            return self.now
+        if self.inbox:
+            return max(self.now, self.inbox[0][0])  # idle fast-forward
+        return math.inf
+
+    def perform_action(
+        self,
+        on_complete: Callable[[int, Request, float], None],
+        *,
+        t_limit: float = math.inf,
+        max_steps: int | None = None,
+    ) -> str | None:
+        """Run one atomic action and return what ran: ``"admit"``,
+        ``"decode"``, or ``None`` when there was nothing to do.
+
+        An admission prices one prompt pass with the live batch riding
+        along. Otherwise the live batch decodes a stretch of iterations
+        priced in one :meth:`~repro.engine.costs.StepCostModel
+        .decode_run_cost` call and committed in one bulk
+        :meth:`~repro.engine.scheduler.Scheduler.record_tokens`. Only
+        iterations *starting* strictly before the break time are
+        committed. The break time is the earliest of ``t_limit`` (the
+        caller's next event), the next delivery in the inbox and, while
+        still at full speed, the slowdown onset. So a stretch ends
+        exactly where per-step stepping would have yielded. The next
+        length retirement also ends it, and ``max_steps`` caps it (``1``
+        gives per-step stepping).
+
+        ``on_complete(index, request, t)`` is called for every request
+        that finishes.
+        """
+        now = self.next_action_time()
+        if now == math.inf:
+            return None
+        sched = self.sched
+        inbox = self.inbox
+        while inbox and inbox[0][0] <= now:
+            t, r = inbox.popleft()
+            sched.enqueue(SchedRequest(
+                request_id=r.request_id,
+                prompt_len=r.prompt_len,
+                max_new_tokens=r.gen_tokens,
+                arrival=t,
+                tenant=r.tenant,
+            ))
+        slow_from = self.slow_from
+        factor = self.slow_factor if now >= slow_from else 1.0
+        live_kv = self.live_kv
+        timeline = self.timeline
+        kv = self.kv
+        full = self.full
+        admitted = sched.admit(max_admit=1)
+        if admitted:
+            s = admitted[0]
+            rid = s.request_id
+            self.mid_round = True
+            start = now
+            eff = kv.admit(rid)
+            # ``live_kv`` excludes the newcomer: it is inserted after
+            # pricing. A prefix hit prices the unshared suffix only;
+            # ``eff == 0`` passes the scheduler's request through.
+            shape = (PromptShape(s.prompt_len, shared_prefix_len=eff)
+                     if eff else s)
+            now += self.costs.prompt_cost(
+                BatchState(tuple(live_kv.values())), shape) * factor
+            self.now = now
+            timeline.record("server", start, now,
+                            f"prefill r{rid} (+{eff} cached)" if eff
+                            else f"prefill r{rid}")
+            if full:
+                timeline.record(f"req-{rid}", s.arrival, start, "queued")
+            self.admit_start[rid] = start
+            self.first[rid] = now  # the prompt pass yields token 1
+            if self.ttft_sink is not None:
+                # TTFT from the *original* arrival (a retried request's
+                # clock ran through the crash), matching the report.
+                self.ttft_sink.append((now, now - self.by_id[rid].arrival))
+            self.tokens += 1
+            if sched.record_token(rid) is not None:
+                self.finish[rid] = now
+                kv.retire(rid)
+                if full:
+                    timeline.record(f"req-{rid}", start, now, "decode")
+                on_complete(self.index, self.by_id[rid], now)
+            else:
+                live_kv[rid] = s.prompt_len + 1
+            return "admit"
+        self.now = now
+        batch = sched.num_active
+        if not batch:
+            return None
+        t_break = t_limit
+        if inbox and inbox[0][0] < t_break:
+            t_break = inbox[0][0]
+        if now < slow_from < t_break:
+            t_break = slow_from
+        horizon = sched.decode_horizon()
+        if t_break != math.inf and horizon > _RUN_CHUNK_STEPS:
+            horizon = _RUN_CHUNK_STEPS
+        if max_steps is not None and horizon > max_steps:
+            horizon = max_steps
+        run = self.costs.decode_run_cost(BatchState(tuple(live_kv.values())),
+                                         horizon)
+        # The cumsum *includes* ``now`` so the float additions associate
+        # exactly as a per-step ``now += cost`` loop.
+        buf = np.empty(horizon + 1)
+        buf[0] = now
+        buf[1:] = run
+        if factor != 1.0:  # x * 1.0 == x, so skipping it is exact
+            buf[1:] *= factor
+        ends = buf.cumsum(out=buf)[1:]
+        n = horizon
+        if t_break != math.inf:
+            k = int(ends.searchsorted(t_break, side="left")) + 1
+            if k < n:
+                n = k
+        start = now
+        retired = sched.record_tokens(n)
+        self.tokens += n * batch
+        if full:
+            ends_list = ends[:n].tolist()  # exact float64 -> float
+            label = f"decode x{batch}"
+            s_prev = start
+            for e in ends_list:
+                timeline.record("server", s_prev, e, label)
+                s_prev = e
+            now = s_prev
+        else:
+            now = ends[n - 1].item()
+            timeline.record("server", start, now,
+                            f"decode x{batch} ({n} steps)")
+        self.now = now
+        # Caches grow before retirement (a retiree participates in every
+        # step of the stretch — it retires *at* the last one).
+        kv.grow_all(n)
+        for rid in retired:
+            self.finish[rid] = now
+            kv.retire(rid)
+            if full:
+                timeline.record(f"req-{rid}", self.first[rid], now, "decode")
+            on_complete(self.index, self.by_id[rid], now)
+            del live_kv[rid]
+        for rid in live_kv:
+            live_kv[rid] += n
+        self.mid_round = False
+        return "decode"
+
+
+def _ignore_completion(index: int, request: Request, t: float) -> None:
+    """``on_complete`` for a lone server: nobody tracks outstanding work."""
+
+
 def simulate_serving(
     trace: WorkloadTrace,
     *,
-    costs: StepCostModel | None = None,
-    prompt_time: Callable[[int, int], float] | None = None,
-    step_time: Callable[[int], float] | None = None,
+    costs: StepCostModel,
     max_batch: int,
     policy: str = "fcfs",
     detail: str = "auto",
@@ -441,16 +698,16 @@ def simulate_serving(
 ) -> ServingReport:
     """Replay ``trace`` through a continuous-batching server.
 
-    Lifecycle decisions come from the shared
+    The server is one :class:`ReplicaEngine` with no router: the whole
+    trace is delivered to it at its arrival times and it acts until it
+    is idle. Lifecycle decisions come from the shared
     :class:`~repro.engine.scheduler.Scheduler` (the same class the
-    functional engine runs); this function only maps arrivals into the
-    queue and prices the scheduler's decisions with ``costs`` (any
+    functional engine runs); ``costs`` (any
     :class:`~repro.engine.costs.StepCostModel`:
     :class:`~repro.engine.costs.DenseStepCost`,
     :class:`~repro.engine.costs.MoEStepCost`,
-    :class:`~repro.engine.costs.ZeroStepCost`, ...). The legacy
-    ``prompt_time(batch, prompt_len)`` / ``step_time(batch)`` closure
-    pair is still accepted in place of ``costs``.
+    :class:`~repro.engine.costs.ZeroStepCost`,
+    :class:`~repro.engine.costs.ClosureStepCost`, ...) prices them.
 
     ``prefix_sharing`` (with ``kv_block_size``/``kv_num_layers`` sizing
     the mirrored paged pool) enables session prefix reuse: a
@@ -464,10 +721,8 @@ def simulate_serving(
     The replay is *event-compressed*: between scheduler-relevant events
     (the next arrival, the next length retirement) the batch composition
     is frozen, so whole stretches of decode iterations are priced with
-    one :meth:`~repro.engine.costs.StepCostModel.decode_run_cost` call
-    and committed with one bulk
-    :meth:`~repro.engine.scheduler.Scheduler.record_tokens`. Reports are
-    bit-for-bit identical to the retained per-step oracle
+    one :meth:`~repro.engine.costs.StepCostModel.decode_run_cost` call.
+    Reports are bit-for-bit identical to the per-step oracle
     (:func:`simulate_serving_reference`) — same makespan, same
     per-request times, same scheduler event log.
 
@@ -483,155 +738,40 @@ def simulate_serving(
     a priced :class:`Timeline` — exportable with
     ``timeline.to_chrome_trace()``.
     """
-    if max_batch < 1:
-        raise ValueError("max_batch must be >= 1")
-    full = _resolve_detail(detail, len(trace.requests))
-    cost_model = resolve_step_costs(costs, prompt_time, step_time)
-    sched = Scheduler(max_batch, policy=policy)
-    timeline = Timeline()
     requests = trace.requests
-    kv = _KvTracker(requests, block_size=kv_block_size,
-                    num_layers=kv_num_layers, prefix_sharing=prefix_sharing)
-    cursor = 0  # arrival cursor: O(1) per drain, no per-call trace copy
-    admit_at: dict[int, float] = {}
-    now = 0.0
-    finish: dict[int, float] = {}
-    first: dict[int, float] = {}
-    delays: dict[int, float] = {}
-    total_tokens = 0
-    # Incrementally maintained batch view: rid -> prompt + generated, in
-    # admission order (mirrors ``sched.active``), replacing per-step
-    # ``batch_state_of`` rebuilds.
-    live_kv: dict[int, int] = {}
-
-    def enqueue_arrived() -> None:
-        nonlocal cursor
-        while cursor < len(requests) and requests[cursor].arrival <= now:
-            r = requests[cursor]
-            cursor += 1
-            sched.enqueue(SchedRequest(
-                request_id=r.request_id,
-                prompt_len=r.prompt_len,
-                max_new_tokens=r.gen_tokens,
-                arrival=r.arrival,
-                tenant=r.tenant,
-            ))
-
-    while cursor < len(requests) or sched.num_waiting or sched.num_active:
-        # Fast-forward to the next arrival when idle.
-        if (not sched.num_active and not sched.num_waiting
-                and cursor < len(requests)
-                and requests[cursor].arrival > now):
-            now = requests[cursor].arrival
-        enqueue_arrived()
-        # Admit one at a time, paying each prompt pass, so requests
-        # arriving *during* a prompt pass can join this round's queue.
-        while True:
-            admitted = sched.admit(max_admit=1)
-            if not admitted:
-                break
-            s = admitted[0]
-            delays[s.request_id] = now - s.arrival
-            start = now
-            eff = kv.admit(s.request_id)
-            # ``live_kv`` excludes the newcomer by construction: it is
-            # inserted only after its prompt pass is priced. A prefix
-            # hit prices the unshared suffix only; ``eff == 0`` passes
-            # the scheduler's request through untouched (bit-for-bit the
-            # pre-sharing numbers).
-            shape = (PromptShape(s.prompt_len, shared_prefix_len=eff)
-                     if eff else s)
-            now += cost_model.prompt_cost(
-                BatchState(tuple(live_kv.values())), shape)
-            label = (f"prefill r{s.request_id} (+{eff} cached)" if eff
-                     else f"prefill r{s.request_id}")
-            timeline.record("server", start, now, label)
-            if full:
-                timeline.record(f"req-{s.request_id}", s.arrival, start,
-                                "queued")
-            admit_at[s.request_id] = now
-            first[s.request_id] = now  # prompt pass yields token 1
-            total_tokens += 1
-            if sched.record_token(s.request_id) is not None:
-                finish[s.request_id] = now
-                kv.retire(s.request_id)
-                if full:
-                    timeline.record(f"req-{s.request_id}", start, now,
-                                    "decode")
-            else:
-                live_kv[s.request_id] = s.prompt_len + 1
-            enqueue_arrived()
-        if not sched.num_active:
-            continue
-        # Event-compressed decode: until the next arrival or length
-        # retirement the batch is frozen, so price the whole stretch in
-        # one vectorized call and commit it in one bulk advance. The
-        # cumsum *includes* ``now`` so the float additions associate
-        # exactly as the per-step ``now += cost`` loop.
-        batch = sched.num_active
-        horizon = sched.decode_horizon()
-        if cursor < len(requests):
-            horizon = min(horizon, _RUN_CHUNK_STEPS)
-        run = cost_model.decode_run_cost(
-            BatchState(tuple(live_kv.values())), horizon)
-        buf = np.empty(horizon + 1)
-        buf[0] = now
-        buf[1:] = run
-        ends = np.cumsum(buf, out=buf)[1:]
-        n = horizon
-        if cursor < len(requests):
-            # Steps are pure only while every intermediate loop-top stays
-            # strictly before the next arrival's enqueue point.
-            k = int(np.searchsorted(ends, requests[cursor].arrival,
-                                    side="left"))
-            n = min(n, k + 1)
-        ends_list = ends[:n].tolist()  # exact float64 -> float
-        start = now
-        now = ends_list[-1]
-        retired = sched.record_tokens(n)
-        total_tokens += n * batch
-        if full:
-            s_prev = start
-            for e in ends_list:
-                timeline.record("server", s_prev, e, f"decode x{batch}")
-                s_prev = e
-        else:
-            timeline.record("server", start, now,
-                            f"decode x{batch} ({n} steps)")
-        # Caches grow before retirement (a retiree participates in every
-        # step of the stretch — it retires *at* the last one).
-        kv.grow_all(n)
-        for rid in retired:
-            finish[rid] = now
-            kv.retire(rid)
-            if full:
-                timeline.record(f"req-{rid}", admit_at[rid], now, "decode")
-            del live_kv[rid]
-        for rid in live_kv:
-            live_kv[rid] += n
-
+    engine = ReplicaEngine(requests, costs=costs, max_batch=max_batch,
+                           policy=policy, detail=detail,
+                           kv_block_size=kv_block_size,
+                           kv_num_layers=kv_num_layers,
+                           prefix_sharing=prefix_sharing)
+    for r in requests:
+        engine.deliver(r, r.arrival)
+    act = engine.perform_action
+    while act(_ignore_completion) is not None:
+        pass
+    by_id = engine.by_id
+    kv = engine.kv
     return ServingReport(
-        makespan=now,
-        finish_times=finish,
-        first_token_times=first,
-        queue_delays=delays,
-        total_tokens=total_tokens,
+        makespan=engine.now,
+        finish_times=engine.finish,
+        first_token_times=engine.first,
+        queue_delays={rid: t - by_id[rid].arrival
+                      for rid, t in engine.admit_start.items()},
+        total_tokens=engine.tokens,
         prefix_hits=kv.hits,
         prefix_hit_tokens=kv.hit_tokens,
         kv_blocks_allocated=kv.allocated,
         kv_blocks_saved=kv.saved_blocks,
         peak_kv_blocks=kv.peak_blocks,
-        scheduler=sched,
-        timeline=timeline,
+        scheduler=engine.sched,
+        timeline=engine.timeline,
     )
 
 
 def simulate_serving_reference(
     trace: WorkloadTrace,
     *,
-    costs: StepCostModel | None = None,
-    prompt_time: Callable[[int, int], float] | None = None,
-    step_time: Callable[[int], float] | None = None,
+    costs: StepCostModel,
     max_batch: int,
     policy: str = "fcfs",
     kv_block_size: int = 16,
@@ -642,13 +782,14 @@ def simulate_serving_reference(
 
     The pre-compression implementation, retained verbatim: one Python
     round-trip per decode iteration, ``batch_state_of`` tuple rebuild
-    per pricing call, always-full timelines. The equivalence tests (and
-    the speed benchmark's baseline leg) hold :func:`simulate_serving`
-    bit-for-bit against this — including the prefix-sharing KV counters.
+    per pricing call, always-full timelines. It deliberately does not
+    run :class:`ReplicaEngine`, so it checks the engine instead of
+    sharing its bugs. The equivalence tests (and the speed benchmark's
+    baseline leg) hold :func:`simulate_serving` bit-for-bit against
+    this — including the prefix-sharing KV counters.
     """
     if max_batch < 1:
         raise ValueError("max_batch must be >= 1")
-    cost_model = resolve_step_costs(costs, prompt_time, step_time)
     plens = {r.request_id: r.prompt_len for r in trace.requests}
     sched = Scheduler(max_batch, policy=policy)
     timeline = Timeline()
@@ -695,7 +836,7 @@ def simulate_serving_reference(
             eff = kv.admit(s.request_id)
             shape = (PromptShape(s.prompt_len, shared_prefix_len=eff)
                      if eff else s)
-            now += cost_model.prompt_cost(
+            now += costs.prompt_cost(
                 batch_state_of(sched, plens, exclude=s.request_id), shape)
             label = (f"prefill r{s.request_id} (+{eff} cached)" if eff
                      else f"prefill r{s.request_id}")
@@ -715,7 +856,7 @@ def simulate_serving_reference(
         # whatever the batch size (the batched-forward semantics).
         batch = sched.num_active
         start = now
-        now += cost_model.decode_cost(batch_state_of(sched, plens))
+        now += costs.decode_cost(batch_state_of(sched, plens))
         timeline.record("server", start, now, f"decode x{batch}")
         total_tokens += batch
         kv.grow_all(1)  # every live cache appends this step's token
@@ -740,35 +881,3 @@ def simulate_serving_reference(
         scheduler=sched,
         timeline=timeline,
     )
-
-
-def serving_step_times(latency_model, *, mean_prompt: int, mean_gen: int):
-    """Deprecated: build (prompt_time, step_time) closures from a dense
-    latency model.
-
-    This is a thin shim over :class:`~repro.engine.costs.DenseStepCost`
-    in its ``representative_kv`` compat mode (``mean_prompt + mean_gen
-    // 2``) and reproduces its numbers bit-for-bit. New code should pass
-    ``costs=DenseStepCost(latency_model, ...)`` to
-    :func:`simulate_serving` / :func:`~repro.fleet.sim.simulate_fleet`
-    directly — the default (no ``representative_kv``) prices each decode
-    at the batch's *actual* KV lengths instead of one representative
-    point.
-    """
-    warnings.warn(
-        "serving_step_times is deprecated; pass a StepCostModel (e.g. "
-        "DenseStepCost) via the costs= parameter instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    costs = DenseStepCost(latency_model,
-                          representative_kv=mean_prompt + mean_gen // 2)
-
-    def prompt_time(batch: int, prompt_len: int) -> float:
-        riders = BatchState.uniform(max(0, batch - 1), 1)
-        return costs.prompt_cost(riders, PromptShape(prompt_len))
-
-    def step_time(batch: int) -> float:
-        return costs.decode_cost(BatchState.uniform(max(1, batch), 1))
-
-    return prompt_time, step_time

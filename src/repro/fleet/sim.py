@@ -1,28 +1,31 @@
 """Fleet serving simulation: N replicas, one router, two backends.
 
 Scale-out beyond one server multiplies the paper's single-instance
-runtime (Secs. IV-V) behind a :class:`~repro.fleet.router.Router`. Each
-replica is the *same* scheduler-backed continuous-batching server PR 1
-built — here decomposed into atomic actions (admit-one-with-prompt-pass,
-decode-one-iteration) so a global event loop can interleave many
-replicas, arrivals, and scripted faults in start-time order.
+runtime (Secs. IV-V) behind a :class:`~repro.fleet.router.Router`. It
+does not re-implement it: every replica is the same
+:class:`~repro.engine.serving_sim.ReplicaEngine` that
+:func:`~repro.engine.serving_sim.simulate_serving` runs, stepped one
+atomic action (admit one request with its prompt pass, or decode one
+stretch) at a time so a global event loop can interleave many replicas,
+arrivals, scripted faults and control epochs in start-time order. This
+module adds only the fleet lifecycle around the engine: crash and
+recover, drain and retire, up-time segments and past incarnations.
 
 Two backends, one control plane:
 
 * :func:`simulate_fleet` — analytical: every replica prices the shared
-  :class:`~repro.engine.scheduler.Scheduler`'s decisions with the
-  latency model (exactly :func:`~repro.engine.serving_sim
-  .simulate_serving`'s round structure; a one-replica fleet reproduces
-  it bit-for-bit), producing a :class:`~repro.fleet.report.FleetReport`;
+  :class:`~repro.engine.scheduler.Scheduler`'s decisions with the cost
+  model (a one-replica fleet reproduces ``simulate_serving``
+  bit-for-bit), producing a :class:`~repro.fleet.report.FleetReport`;
 * :func:`run_fleet_functional` — functional: replays the analytical
   run's per-replica enqueue schedule into one real
   :class:`~repro.engine.generation.GenerationSession` per replica. The
   sessions' own schedulers re-make every admission/retirement decision
   and must coincide with the analytical ones (the fleet-level extension
-  of PR 1's decision-equivalence guarantee), and every completed
-  request's output is exactly ``model.generate`` on its prompt alone —
-  including requests retried after a crash, which restart from scratch
-  so no token from a dead replica survives.
+  of the single-server decision-equivalence guarantee), and every
+  completed request's output is exactly ``model.generate`` on its
+  prompt alone — including requests retried after a crash, which
+  restart from scratch so no token from a dead replica survives.
 
 Crash semantics: from the fault time the router stops routing to the
 replica; it completes the scheduling round already in flight (work on an
@@ -37,28 +40,16 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from ..autoscale.actions import AutoscaleEvent
 from ..autoscale.controller import Autoscaler, AutoscaleConfig, resolve_autoscaler
 from ..autoscale.signals import FleetSignals, ReplicaSnapshot
-from ..engine.costs import (
-    BatchState,
-    PromptShape,
-    StepCostModel,
-    resolve_step_costs,
-)
+from ..engine.costs import StepCostModel
 from ..engine.generation import GenerationSession
-from ..engine.scheduler import SchedRequest, Scheduler
-from ..engine.serving_sim import (
-    _RUN_CHUNK_STEPS,
-    _KvTracker,
-    Request,
-    WorkloadTrace,
-    _resolve_detail,
-)
+from ..engine.scheduler import Scheduler
+from ..engine.serving_sim import ReplicaEngine, Request, WorkloadTrace
 from ..rng import SeedLike, as_generator
 from ..simcore.trace import Timeline
 from .faults import FaultPlan
@@ -76,45 +67,20 @@ __all__ = [
 _INF = math.inf
 
 
-class _Replica:
-    """One priced replica: simulate_serving's loop split into atomic
-    actions so the fleet event loop can interleave replicas."""
+class _Replica(ReplicaEngine):
+    """One fleet replica: the shared :class:`ReplicaEngine` plus the
+    fleet lifecycle — crash and recover, drain and retire, up-time
+    segments and the schedulers of past incarnations."""
 
-    def __init__(self, index: int, *, max_batch: int, policy: str,
-                 costs: StepCostModel, kv: _KvTracker, full: bool = True,
-                 join_time: float = 0.0,
-                 ttft_sink: list[tuple[float, float]] | None = None) -> None:
-        self.index = index
-        self.max_batch = max_batch
-        self.policy = policy
-        self.sched = Scheduler(max_batch, policy=policy)
-        self.costs = costs
-        # Per-replica KV pool accounting: parked session prefixes live
-        # (and die) with this replica; counters span incarnations.
-        self.kv = kv
-        self.full = full  # full timelines vs summary (aggregated) spans
-        self.now = join_time
+    def __init__(self, requests, *, join_time: float = 0.0, **engine_kw) -> None:
+        super().__init__(requests, start=join_time, **engine_kw)
         self.alive = True
         self.draining = False   # unroutable; finishes assigned work
         self.retired = False    # drained dry: gone for good
         self.join_time = join_time
         self.retire_time: float | None = None
-        self.slow_from = _INF
-        self.slow_factor = 1.0
         self.crash_step: int | None = None
-        self._mid_round = False
-        self.inbox: deque[tuple[float, Request]] = deque()  # delivered, unenqueued
-        self.by_id: dict[int, Request] = {}
-        # Incremental batch view: rid -> prompt + generated, admission
-        # order (mirrors ``sched.active``) — no per-step tuple rebuilds.
-        self._live_kv: dict[int, int] = {}
-        self.admit_start: dict[int, float] = {}
-        self.admit_at: dict[int, float] = {}
-        self.first: dict[int, float] = {}
-        self.finish: dict[int, float] = {}
-        self.tokens = 0  # every token generated here, kept or discarded
-        self.discarded = 0  # of those, thrown away by crashes so far
-        self.timeline = Timeline()
+        self.discarded = 0  # tokens thrown away by crashes so far
         # Closed up-time segments + the currently-open segment start;
         # crash/retire close a segment, recover opens the next.
         self.segments: list[tuple[float, float]] = []
@@ -122,159 +88,11 @@ class _Replica:
         # Past incarnations: (scheduler, crash step) per crash that was
         # followed by a recovery; the functional replay re-runs each.
         self.past: list[tuple[Scheduler, int | None]] = []
-        # When set, the fleet's autoscaler collects (time, ttft) samples
-        # here; None keeps the non-autoscaled path allocation-free.
-        self.ttft_sink = ttft_sink
-
-    # -- delivery --------------------------------------------------------
-
-    def deliver(self, request: Request, t: float) -> None:
-        """Hand over a routed request (enqueued before the next action)."""
-        self.inbox.append((t, request))
-        self.by_id[request.request_id] = request
-
-    def _enqueue_arrived(self) -> None:
-        while self.inbox and self.inbox[0][0] <= self.now:
-            t, r = self.inbox.popleft()
-            self.sched.enqueue(SchedRequest(
-                request_id=r.request_id,
-                prompt_len=r.prompt_len,
-                max_new_tokens=r.gen_tokens,
-                arrival=t,
-                tenant=r.tenant,
-            ))
-
-    # -- the action interface --------------------------------------------
 
     def next_action_time(self) -> float:
-        """Start time of this replica's next atomic action (inf if idle)."""
         if not self.alive or self.retired:
             return _INF
-        if self.sched.num_active or self.sched.num_waiting:
-            return self.now
-        if self.inbox:
-            return max(self.now, self.inbox[0][0])  # idle fast-forward
-        return _INF
-
-    def _cost(self, dt: float) -> float:
-        return dt * (self.slow_factor if self.now >= self.slow_from else 1.0)
-
-    def perform_action(self, on_complete, *, t_limit: float = _INF,
-                       max_steps: int | None = None) -> str | None:
-        """Run one atomic action: admit one request (paying its prompt
-        pass) if possible, else decode a whole *stretch* of iterations.
-        Returns what ran.
-
-        ``t_limit`` bounds a decode stretch: only iterations *starting*
-        strictly before it are committed (the fleet loop passes the next
-        arrival/fault time, so a run splits exactly where a per-step
-        replica would have yielded to the event loop). A replica's own
-        inbox, the next length retirement, and a pending slowdown onset
-        split the run the same way. ``max_steps`` caps the stretch
-        (``1`` recovers per-step stepping, used by :meth:`crash`).
-        """
-        t = self.next_action_time()
-        if t == _INF:
-            return None
-        self.now = max(self.now, t)
-        self._enqueue_arrived()
-        admitted = self.sched.admit(max_admit=1)
-        if admitted:
-            s = admitted[0]
-            self._mid_round = True
-            start = self.now
-            eff = self.kv.admit(s.request_id)
-            # ``_live_kv`` excludes the newcomer: inserted after pricing.
-            # A prefix hit prices the unshared suffix only; ``eff == 0``
-            # passes the scheduler's request through untouched.
-            shape = (PromptShape(s.prompt_len, shared_prefix_len=eff)
-                     if eff else s)
-            self.now += self._cost(self.costs.prompt_cost(
-                BatchState(tuple(self._live_kv.values())), shape))
-            label = (f"prefill r{s.request_id} (+{eff} cached)" if eff
-                     else f"prefill r{s.request_id}")
-            self.timeline.record("server", start, self.now, label)
-            if self.full:
-                self.timeline.record(f"req-{s.request_id}", s.arrival, start,
-                                     "queued")
-            self.admit_start[s.request_id] = start
-            self.admit_at[s.request_id] = self.now
-            self.first[s.request_id] = self.now  # prompt pass yields token 1
-            if self.ttft_sink is not None:
-                # TTFT from the *original* arrival (a retried request's
-                # clock ran through the crash), matching the report.
-                self.ttft_sink.append(
-                    (self.now,
-                     self.now - self.by_id[s.request_id].arrival))
-            self.tokens += 1
-            if self.sched.record_token(s.request_id) is not None:
-                self.finish[s.request_id] = self.now
-                self.kv.retire(s.request_id)
-                if self.full:
-                    self.timeline.record(f"req-{s.request_id}", start,
-                                         self.now, "decode")
-                on_complete(self.index, self.by_id[s.request_id], self.now)
-            else:
-                self._live_kv[s.request_id] = s.prompt_len + 1
-            return "admit"
-        if self.sched.num_active:
-            batch = self.sched.num_active
-            # Iterations are committed only while every intermediate
-            # step start stays strictly before each break time: the
-            # event-loop limit, this replica's own next delivery, and —
-            # while still at full speed — the slowdown onset.
-            t_break = t_limit
-            if self.inbox:
-                t_break = min(t_break, self.inbox[0][0])
-            if self.now < self.slow_from < t_break:
-                t_break = self.slow_from
-            horizon = self.sched.decode_horizon()
-            if t_break != _INF:
-                horizon = min(horizon, _RUN_CHUNK_STEPS)
-            if max_steps is not None:
-                horizon = min(horizon, max_steps)
-            factor = self.slow_factor if self.now >= self.slow_from else 1.0
-            raw = self.costs.decode_run_cost(
-                BatchState(tuple(self._live_kv.values())), horizon)
-            costs_arr = raw * factor  # x * 1.0 is exact, so always safe
-            buf = np.empty(horizon + 1)
-            buf[0] = self.now
-            buf[1:] = costs_arr
-            ends = np.cumsum(buf, out=buf)[1:]
-            n = horizon
-            if t_break != _INF:
-                k = int(np.searchsorted(ends, t_break, side="left"))
-                n = min(n, k + 1)
-            ends_list = ends[:n].tolist()  # exact float64 -> float
-            start = self.now
-            self.now = ends_list[-1]
-            retired = self.sched.record_tokens(n)
-            self.tokens += n * batch
-            if self.full:
-                s_prev = start
-                for e in ends_list:
-                    self.timeline.record("server", s_prev, e,
-                                         f"decode x{batch}")
-                    s_prev = e
-            else:
-                self.timeline.record("server", start, self.now,
-                                     f"decode x{batch} ({n} steps)")
-            # Caches grow before retirement (a retiree participates in
-            # every step of the stretch — it retires *at* the last one).
-            self.kv.grow_all(n)
-            for rid in retired:
-                self.finish[rid] = self.now
-                self.kv.retire(rid)
-                if self.full:
-                    self.timeline.record(f"req-{rid}", self.admit_at[rid],
-                                         self.now, "decode")
-                on_complete(self.index, self.by_id[rid], self.now)
-                del self._live_kv[rid]
-            for rid in self._live_kv:
-                self._live_kv[rid] += n
-            self._mid_round = False
-            return "decode"
-        return None
+        return ReplicaEngine.next_action_time(self)
 
     # -- crash handling --------------------------------------------------
 
@@ -283,7 +101,7 @@ class _Replica:
         scheduler step boundary, then surrender every unfinished request
         (queued, in flight, or undelivered) for requeueing. Returns
         ``(requeue_time, request)`` victims in scheduler order."""
-        while self._mid_round:
+        while self.mid_round:
             # Per-step stepping: the in-flight round must finish exactly
             # where a per-step replica would, not run a whole stretch.
             if self.perform_action(on_complete, max_steps=1) is None:
@@ -291,7 +109,7 @@ class _Replica:
                 # in prompt passes); close the step so the event log
                 # stays boundary-aligned for functional replay.
                 self.sched.advance()
-                self._mid_round = False
+                self.mid_round = False
         self.alive = False
         self.crash_step = self.sched.step
         # The machine's KV pool dies with it: in-flight caches *and*
@@ -326,10 +144,10 @@ class _Replica:
                 f"can recover")
         self.past.append((self.sched, self.crash_step))
         self.sched = Scheduler(self.max_batch, policy=self.policy)
-        self._live_kv.clear()
+        self.live_kv.clear()
         self.alive = True
         self.crash_step = None
-        self._mid_round = False
+        self.mid_round = False
         self.now = max(self.now, t)
         self.seg_open = self.now
         self.timeline.record_instant("server", self.now, "recover")
@@ -381,9 +199,7 @@ def simulate_fleet(
     trace: WorkloadTrace,
     *,
     num_replicas: int,
-    costs: StepCostModel | None = None,
-    prompt_time: Callable[[int, int], float] | None = None,
-    step_time: Callable[[int], float] | None = None,
+    costs: StepCostModel,
     max_batch: int,
     policy: str = "fcfs",
     routing: str | RoutingPolicy = "round_robin",
@@ -397,9 +213,8 @@ def simulate_fleet(
 ) -> FleetReport:
     """Serve ``trace`` on ``num_replicas`` priced replicas behind a router.
 
-    ``costs`` (any :class:`~repro.engine.costs.StepCostModel`; the
-    legacy ``prompt_time``/``step_time`` closure pair is still accepted)
-    plus ``max_batch``/``policy`` configure every replica exactly as
+    ``costs`` (any :class:`~repro.engine.costs.StepCostModel`) plus
+    ``max_batch``/``policy`` configure every replica exactly as
     :func:`~repro.engine.serving_sim.simulate_serving` would one server;
     ``routing`` names a :data:`~repro.fleet.policies.ROUTING_POLICIES`
     entry or is a policy instance; ``fault_plan`` scripts
@@ -441,28 +256,22 @@ def simulate_fleet(
     """
     if num_replicas < 1:
         raise ValueError("num_replicas must be >= 1")
-    if max_batch < 1:
-        raise ValueError("max_batch must be >= 1")
-    full = _resolve_detail(detail, len(trace.requests))
-    cost_model = resolve_step_costs(costs, prompt_time, step_time)
     plan = fault_plan or FaultPlan()
     plan.validate_against(num_replicas)
     scaler = resolve_autoscaler(autoscaler)
     ttft_sink: list[tuple[float, float]] | None = None
     if scaler is not None:
-        scaler.bind(costs=cost_model, initial_replicas=num_replicas)
+        scaler.bind(costs=costs, initial_replicas=num_replicas)
         ttft_sink = []
 
-    def make_tracker() -> _KvTracker:
-        return _KvTracker(trace.requests, block_size=kv_block_size,
-                          num_layers=kv_num_layers,
-                          prefix_sharing=prefix_sharing)
+    def make_replica(index: int, join_time: float = 0.0) -> _Replica:
+        return _Replica(trace.requests, join_time=join_time, index=index,
+                        costs=costs, max_batch=max_batch, policy=policy,
+                        detail=detail, kv_block_size=kv_block_size,
+                        kv_num_layers=kv_num_layers,
+                        prefix_sharing=prefix_sharing, ttft_sink=ttft_sink)
 
-    replicas = [
-        _Replica(i, max_batch=max_batch, policy=policy, costs=cost_model,
-                 kv=make_tracker(), full=full, ttft_sink=ttft_sink)
-        for i in range(num_replicas)
-    ]
+    replicas = [make_replica(i) for i in range(num_replicas)]
     for i, (t, factor) in plan.slowdowns().items():
         replicas[i].slow_from = t
         replicas[i].slow_factor = factor
@@ -559,10 +368,7 @@ def simulate_fleet(
         if t_join <= t_split and t_join <= t_act:
             t = joins.popleft()
             new_index = router.add_replica()
-            rep = _Replica(new_index, max_batch=max_batch, policy=policy,
-                           costs=cost_model, kv=make_tracker(), full=full,
-                           join_time=t, ttft_sink=ttft_sink)
-            replicas.append(rep)
+            replicas.append(make_replica(new_index, t))
             autoscale_log.append(AutoscaleEvent(
                 t, "join", new_index, "cold start complete"))
             continue
@@ -736,9 +542,7 @@ def run_fleet_functional(
     trace: WorkloadTrace,
     *,
     num_replicas: int,
-    costs: StepCostModel | None = None,
-    prompt_time: Callable[[int, int], float] | None = None,
-    step_time: Callable[[int], float] | None = None,
+    costs: StepCostModel,
     max_batch: int,
     policy: str = "fcfs",
     routing: str | RoutingPolicy = "round_robin",
@@ -779,8 +583,7 @@ def run_fleet_functional(
     and changes no behavior.
     """
     report = simulate_fleet(
-        trace, num_replicas=num_replicas, costs=costs,
-        prompt_time=prompt_time, step_time=step_time, max_batch=max_batch,
+        trace, num_replicas=num_replicas, costs=costs, max_batch=max_batch,
         policy=policy, routing=routing, fault_plan=fault_plan,
         autoscaler=autoscaler, kv_block_size=kv_block_size,
         kv_num_layers=model.config.layers, prefix_sharing=prefix_sharing,

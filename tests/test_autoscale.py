@@ -22,12 +22,11 @@ from repro.autoscale import (
     resolve_autoscaler,
     tune_autoscaler,
 )
-from repro.engine import synthesize_trace
-from repro.engine.costs import resolve_step_costs
+from repro.engine import ClosureStepCost, synthesize_trace
 from repro.fleet import FaultPlan, ReplicaFault, simulate_fleet
 
-COSTS = dict(prompt_time=lambda b, p: 0.02 + 0.001 * p,
-             step_time=lambda b: 0.01 + 0.001 * b)
+COSTS = dict(costs=ClosureStepCost(lambda b, p: 0.02 + 0.001 * p,
+                                   lambda b: 0.01 + 0.001 * b))
 
 
 def _snap(index, *, alive=True, draining=False, retired=False, queue=0,
@@ -188,7 +187,7 @@ class TestAutoscalerVerifier:
         return scaler.epoch(now, snaps, pending_joins=0, max_batch=4)
 
     def _bind(self, scaler):
-        scaler.bind(costs=resolve_step_costs(None, **COSTS),
+        scaler.bind(costs=COSTS["costs"],
                     initial_replicas=scaler.config.min_replicas)
         return scaler
 
@@ -240,7 +239,7 @@ class TestAutoscalerVerifier:
             self._bind(scaler)
         fresh = Autoscaler(_cfg(min_replicas=2, max_replicas=4))
         with pytest.raises(ValueError, match="outside the autoscale budget"):
-            fresh.bind(costs=resolve_step_costs(None, **COSTS),
+            fresh.bind(costs=COSTS["costs"],
                        initial_replicas=1)
 
     def test_epoch_before_bind_raises(self):
@@ -250,7 +249,7 @@ class TestAutoscalerVerifier:
     def test_cold_start_derived_from_cost_model(self):
         cfg = _cfg(cold_start_s=None, warmup_prompts=4, mean_prompt=100)
         scaler = Autoscaler(cfg)
-        scaler.bind(costs=resolve_step_costs(None, **COSTS),
+        scaler.bind(costs=COSTS["costs"],
                     initial_replicas=1)
         assert scaler.cold_start_s == pytest.approx(4 * (0.02 + 0.001 * 100))
 
@@ -468,7 +467,7 @@ class TestTuneAutoscaler:
         trace = _diurnal_trace(n=250, rate=45.0)
         result = tune_autoscaler(
             trace, self._base(),
-            costs=resolve_step_costs(None, **COSTS), max_batch=4,
+            costs=COSTS["costs"], max_batch=4,
             epoch_grid=(0.5, 1.0), queue_high_grid=(2.0, 4.0),
             sustain_grid=(1, 2))
         assert len(result.candidates) == 2 * 2 * 2
@@ -484,7 +483,7 @@ class TestTuneAutoscaler:
 
     def test_deterministic(self):
         trace = _diurnal_trace(n=150, rate=40.0)
-        kw = dict(costs=resolve_step_costs(None, **COSTS), max_batch=4,
+        kw = dict(costs=COSTS["costs"], max_batch=4,
                   epoch_grid=(0.5,), queue_high_grid=(4.0,),
                   sustain_grid=(1,))
         a = tune_autoscaler(trace, self._base(), **kw)

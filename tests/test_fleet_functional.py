@@ -10,7 +10,7 @@ completed output must equal solo ``model.generate``.
 import numpy as np
 import pytest
 
-from repro.engine import Request, WorkloadTrace, synthesize_trace
+from repro.engine import ClosureStepCost, Request, WorkloadTrace, synthesize_trace
 from repro.fleet import (
     FaultPlan,
     ReplicaFault,
@@ -21,8 +21,8 @@ from repro.model import DenseTransformer, ModelConfig
 
 CFG = ModelConfig(name="fleet-eq", hidden=32, layers=2, heads=4, vocab=53,
                   max_seq=64)
-COSTS = dict(prompt_time=lambda b, p: 0.02 + 0.001 * p,
-             step_time=lambda b: 0.01 + 0.001 * b)
+COSTS = dict(costs=ClosureStepCost(lambda b, p: 0.02 + 0.001 * p,
+                                   lambda b: 0.01 + 0.001 * b))
 
 
 @pytest.fixture(scope="module")

@@ -10,11 +10,11 @@ and the merged timeline must all stay coherent.
 import pytest
 
 from repro.autoscale import AutoscaleConfig
-from repro.engine import synthesize_trace
+from repro.engine import ClosureStepCost, synthesize_trace
 from repro.fleet import FaultPlan, ReplicaFault, simulate_fleet
 
-COSTS = dict(prompt_time=lambda b, p: 0.02 + 0.001 * p,
-             step_time=lambda b: 0.01 + 0.001 * b)
+COSTS = dict(costs=ClosureStepCost(lambda b, p: 0.02 + 0.001 * p,
+                                   lambda b: 0.01 + 0.001 * b))
 
 
 def _scaled_report(seed=7, n=400, rate=50.0):

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.engine import simulate_serving, synthesize_trace
+from repro.engine import ClosureStepCost, simulate_serving, synthesize_trace
 from repro.fleet import FaultPlan, ReplicaFault, simulate_fleet
 
-COSTS = dict(prompt_time=lambda b, p: 0.02 + 0.001 * p,
-             step_time=lambda b: 0.01 + 0.001 * b)
+COSTS = dict(costs=ClosureStepCost(lambda b, p: 0.02 + 0.001 * p,
+                                   lambda b: 0.01 + 0.001 * b))
 
 
 def _trace(n=40, rate=30.0, seed=0, num_sessions=None):

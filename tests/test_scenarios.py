@@ -15,7 +15,7 @@ from repro.engine import (
     synthesize_trace,
 )
 from repro.engine import DenseLatencyModel, DenseStepCost
-from repro.engine.costs import BatchState, PromptShape
+from repro.engine.costs import BatchState, ClosureStepCost, PromptShape
 from repro.engine.scheduler import TenantFairShare
 from repro.hardware import dgx_a100_cluster
 from repro.fleet.sim import run_fleet_functional, simulate_fleet
@@ -35,7 +35,8 @@ from repro.scenarios import (
 from repro.scenarios.arrivals import draw_arrivals
 from repro.scenarios.generators import _SESSION_STRIDE
 
-COSTS = dict(prompt_time=lambda p, kv: 0.002 * p, step_time=lambda kv: 0.001)
+COSTS = dict(costs=ClosureStepCost(lambda p, kv: 0.002 * p,
+                                   lambda kv: 0.001))
 
 
 def _dense_costs():

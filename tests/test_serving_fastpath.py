@@ -29,6 +29,12 @@ from repro.engine import (
 from repro.fleet import FaultPlan, ReplicaFault, simulate_fleet
 from repro.hardware import dgx2_v100, dgx_a100_cluster
 from repro.model import DENSE_ZOO, MOE_PARALLELISM, MOE_ZOO, get_model
+from repro.scenarios import (
+    TenantSpec,
+    chat_scenario,
+    multi_tenant_scenario,
+    tenant_policy,
+)
 from repro.zero import ZeroInferenceEngine
 
 MAX_BATCH = 4
@@ -80,6 +86,32 @@ def _trace(n=80, seed=7, rate=40.0):
                             mean_prompt=32, mean_gen=12, seed=seed)
 
 
+def _chat_trace(n=60, seed=3):
+    """Multi-turn sessions whose follow-ups share their parent's prefix,
+    so admissions fork parked caches and price only the suffix."""
+    return chat_scenario(num_sessions=12, session_rate=6.0, mean_prompt=32,
+                         mean_gen=12, num_requests=n, seed=seed)
+
+
+TENANTS = (
+    TenantSpec(name="batch", arrival_rate=30.0, num_requests=40,
+               mean_prompt=32, mean_gen=12),
+    TenantSpec(name="chatty", arrival_rate=6.0, num_requests=24,
+               workload="chat", mean_prompt=24, mean_gen=8, weight=2.0,
+               slot_cap=2),
+)
+
+#: (trace, admission policy) inputs of the bit-for-bit matrix. The ids
+#: of the two Poisson cases are the bare policy names.
+SERVING_CASES = [
+    pytest.param((_trace, "fcfs"), id="fcfs"),
+    pytest.param((_trace, "shortest_prompt"), id="shortest_prompt"),
+    pytest.param((_chat_trace, "fcfs"), id="chat-fcfs"),
+    pytest.param((lambda: multi_tenant_scenario(TENANTS, seed=2),
+                  tenant_policy(TENANTS)), id="tenants-tenant_fair"),
+]
+
+
 def _events(sched):
     return [(e.step, e.kind, e.request_id, e.reason) for e in sched.events]
 
@@ -90,9 +122,10 @@ class TestServingBitForBit:
     @pytest.mark.parametrize(
         "cost", ["dense", "dense-compat", "moe", "zero", "closure"],
         indirect=True)
-    @pytest.mark.parametrize("policy", ["fcfs", "shortest_prompt"])
-    def test_report_events_and_timeline_identical(self, cost, policy):
-        trace = _trace()
+    @pytest.mark.parametrize("case", SERVING_CASES)
+    def test_report_events_and_timeline_identical(self, cost, case):
+        make_trace, policy = case
+        trace = make_trace()
         fast = simulate_serving(trace, costs=cost, max_batch=MAX_BATCH,
                                 policy=policy, detail="full")
         ref = simulate_serving_reference(trace, costs=cost,
@@ -200,6 +233,24 @@ class TestFleetBitForBit:
         assert fleet.first_token_times == serving.first_token_times
         assert fleet.queue_delays == serving.queue_delays
         assert fleet.total_tokens == serving.total_tokens
+        # On a prefix-sharing chat trace the KV ledger and the scheduler's
+        # decisions must agree too, not only the latency numbers.
+        chat = _chat_trace()
+        fleet = simulate_fleet(chat, num_replicas=1, costs=dense_cost,
+                               max_batch=MAX_BATCH)
+        serving = simulate_serving(chat, costs=dense_cost,
+                                   max_batch=MAX_BATCH)
+        assert serving.prefix_hits > 0
+        assert fleet.makespan == serving.makespan
+        assert fleet.finish_times == serving.finish_times
+        assert fleet.first_token_times == serving.first_token_times
+        assert fleet.queue_delays == serving.queue_delays
+        assert fleet.total_tokens == serving.total_tokens
+        for counter in ("prefix_hits", "prefix_hit_tokens",
+                        "kv_blocks_allocated", "kv_blocks_saved",
+                        "peak_kv_blocks"):
+            assert getattr(fleet, counter) == getattr(serving, counter)
+        assert _events(fleet.schedulers[0]) == _events(serving.scheduler)
 
     def test_summary_detail_keeps_fleet_numbers(self, dense_cost):
         trace = _trace(n=60)
