@@ -477,8 +477,9 @@ class ReplicaEngine:
 
     Two pieces of state only a fleet moves keep neutral defaults: a
     scripted slowdown multiplies every cost from ``slow_from`` (``inf``)
-    on by ``slow_factor``, and ``ttft_sink`` (``None``), when it is a
-    list, collects ``(time, ttft)`` samples for an autoscaler.
+    on by ``slow_factor``, and ``ttft_sink`` (``None``), when set, is
+    handed every ``(time, ttft)`` sample for an autoscaler through its
+    ``append`` method (a list, or the fleet's order-keeping sink).
     """
 
     def __init__(

@@ -295,7 +295,7 @@ def tune_serving_deployment(
             expert_skew=trace.expert_skew):
         for max_batch in candidate_batches(cap):
             rep = simulate_serving(trace, costs=costs, max_batch=max_batch,
-                                   policy=policy)
+                                   policy=policy, detail="summary")
             ttft = rep.ttft_percentile(trace, 99)
             if ttft_sla is not None and ttft > ttft_sla:
                 continue

@@ -17,11 +17,16 @@ the fleet-level analogue of the PR-1 decision-equivalence guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from ..engine.serving_sim import Request
 from .policies import RoutingPolicy, resolve_routing_policy
 
 __all__ = ["RoutingDecision", "Router"]
+
+
+def _no_sync(replica: int) -> None:
+    """The default read hook: a standalone router's load is current."""
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,11 @@ class Router:
     per-replica weights (:meth:`set_weight`). A router that never sees
     those calls behaves exactly as the static pool always has.
     """
+
+    # Called with a replica's index before its load is read. The fleet
+    # simulator advances replicas lazily and installs a hook on the
+    # instance that brings the replica up to the event being routed.
+    _sync: Callable[[int], None] = staticmethod(_no_sync)
 
     def __init__(self, num_replicas: int,
                  policy: str | RoutingPolicy = "round_robin") -> None:
@@ -79,6 +89,7 @@ class Router:
 
     def outstanding(self, replica: int) -> float:
         """Token work assigned to ``replica`` and not yet completed."""
+        self._sync(replica)
         return self._outstanding[replica]
 
     def weight(self, replica: int) -> float:

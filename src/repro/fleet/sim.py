@@ -4,12 +4,21 @@ Scale-out beyond one server multiplies the paper's single-instance
 runtime (Secs. IV-V) behind a :class:`~repro.fleet.router.Router`. It
 does not re-implement it: every replica is the same
 :class:`~repro.engine.serving_sim.ReplicaEngine` that
-:func:`~repro.engine.serving_sim.simulate_serving` runs, stepped one
-atomic action (admit one request with its prompt pass, or decode one
-stretch) at a time so a global event loop can interleave many replicas,
-arrivals, scripted faults and control epochs in start-time order. This
-module adds only the fleet lifecycle around the engine: crash and
-recover, drain and retire, up-time segments and past incarnations.
+:func:`~repro.engine.serving_sim.simulate_serving` runs. This module
+adds only the fleet lifecycle around the engine (crash and recover,
+drain and retire, up-time segments and past incarnations) and one
+event loop.
+
+The loop walks control events only: arrivals and requeues, faults,
+replica joins and control epochs. Replicas advance lazily, one atomic
+action at a time (admit one request with its prompt pass, or decode one
+stretch), and only when something needs their state: a routing policy
+reads a replica's load, a fault hits it, a control epoch snapshots the
+pool, or the run ends. A delivery needs no advance, because the
+replica's inbox cuts its stretch at the delivery time. Every advance
+stops before the event being handled, so each replica's history is
+exactly what a loop stepping the whole fleet in start-time order would
+produce, at a cost that does not grow with the pool size.
 
 Two backends, one control plane:
 
@@ -40,6 +49,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -153,11 +163,13 @@ class _Replica(ReplicaEngine):
         self.timeline.record_instant("server", self.now, "recover")
 
     def maybe_retire(self, t: float) -> bool:
-        """Retire a draining replica the moment it runs dry (no active,
-        queued, or undelivered work). Returns whether it retired now."""
+        """Retire a draining replica the moment it runs dry at time
+        ``t``: nothing active or queued, and nothing delivered at or
+        before ``t`` (a later delivery has not reached it yet). Returns
+        whether it retired now."""
         if (self.draining and self.alive and not self.retired
                 and not self.sched.num_active and not self.sched.num_waiting
-                and not self.inbox):
+                and not (self.inbox and self.inbox[0][0] <= t)):
             self.retired = True
             self.retire_time = max(self.now, t)
             if self.seg_open is not None:
@@ -193,6 +205,34 @@ class _Replica(ReplicaEngine):
         if self.seg_open is not None:
             segments.append((self.seg_open, max(self.seg_open, makespan)))
         return tuple(segments)
+
+
+class _TtftSamples:
+    """The autoscaler's TTFT samples, handed over in global action order.
+
+    Replicas advance lazily, so their samples arrive out of that order,
+    and the order matters: the autoscaler's window drops old samples
+    only from its front. Each sample is tagged with the ``key`` the
+    fleet sets before every action — ``(action start, 1, replica)``, or
+    ``(fault time, 0, 0)`` while a crashing replica finishes its
+    in-flight round — and :meth:`drain` sorts by it. The sort is stable,
+    so one replica's samples keep the order it produced them in.
+    """
+
+    def __init__(self) -> None:
+        self.key: tuple[float, int, int] = (0.0, 0, 0)
+        self._items: list[tuple[tuple[float, int, int],
+                                tuple[float, float]]] = []
+
+    def append(self, sample: tuple[float, float]) -> None:
+        self._items.append((self.key, sample))
+
+    def drain(self) -> list[tuple[float, float]]:
+        """Every sample since the last drain, in global action order."""
+        self._items.sort(key=itemgetter(0))
+        samples = [sample for _, sample in self._items]
+        self._items.clear()
+        return samples
 
 
 def simulate_fleet(
@@ -244,25 +284,29 @@ def simulate_fleet(
     historical static fleet on the exact same code path.
 
     Replicas decode in event-compressed stretches (see
-    :func:`~repro.engine.serving_sim.simulate_serving`); arrivals,
-    faults, control epochs, replica joins, slowdown onsets and
-    retirements split a stretch exactly where per-step stepping would
-    act, so reports are bit-for-bit independent of the compression.
-    ``detail`` has the single-server semantics (``"summary"`` skips
-    per-request lanes and aggregates per-stretch server spans;
-    ``"auto"`` switches on trace size). ``_max_run_steps`` caps every
-    stretch (``1`` forces the per-step reference behavior; equivalence
-    tests use it as the oracle).
+    :func:`~repro.engine.serving_sim.simulate_serving`) and advance
+    lazily: only a delivery to the replica, a read of its load by the
+    routing policy (``least_outstanding`` reads every live replica,
+    ``power_of_two`` two, ``round_robin`` and a pinned
+    ``session_affinity`` turn none), a fault on it, a control epoch,
+    its slowdown onset or a retirement splits its stretch, each exactly
+    where per-step stepping would act. Reports are bit-for-bit
+    independent of the compression. ``detail`` has the single-server
+    semantics (``"summary"`` skips per-request lanes and aggregates
+    per-stretch server spans; ``"auto"`` switches on trace size).
+    ``_max_run_steps`` caps every stretch (``1`` forces per-step
+    stepping; equivalence tests use it to check the stretch
+    arithmetic).
     """
     if num_replicas < 1:
         raise ValueError("num_replicas must be >= 1")
     plan = fault_plan or FaultPlan()
     plan.validate_against(num_replicas)
     scaler = resolve_autoscaler(autoscaler)
-    ttft_sink: list[tuple[float, float]] | None = None
+    ttft_sink: _TtftSamples | None = None
     if scaler is not None:
         scaler.bind(costs=costs, initial_replicas=num_replicas)
-        ttft_sink = []
+        ttft_sink = _TtftSamples()
 
     def make_replica(index: int, join_time: float = 0.0) -> _Replica:
         return _Replica(trace.requests, join_time=join_time, index=index,
@@ -325,26 +369,40 @@ def simulate_fleet(
     heapq.heapify(heap)
     seq = len(trace.requests)
 
+    def advance(rep: _Replica, t: float) -> None:
+        """Run ``rep``'s actions that start strictly before ``t``: its
+        state as if the whole fleet had stepped up to a control event at
+        ``t`` (events win ties against replica actions)."""
+        while (start := rep.next_action_time()) < t:
+            if ttft_sink is not None:
+                ttft_sink.key = (start, 1, rep.index)
+            rep.perform_action(on_complete, t_limit=t,
+                               max_steps=_max_run_steps)
+            rep.maybe_retire(start)
+
+    # The loop walks control events only; a replica advances when
+    # something reads it. Routing policies read load through the router,
+    # so the router syncs a replica to the event being handled first.
+    now = 0.0
+    router._sync = lambda i: advance(replicas[i], now)
     while True:
         t_arr = heap[0][0] if heap else _INF
-        t_act, act_i = _INF, -1
-        for i, rep in enumerate(replicas):
-            t = rep.next_action_time()
-            if t < t_act:
-                t_act, act_i = t, i
         t_fault = (fault_events[fault_cursor][0]
                    if fault_cursor < len(fault_events) else _INF)
         t_join = joins[0] if joins else _INF
-        # Control epochs tick only while the run has work left — once
-        # the heap is drained and every replica is idle there is nothing
-        # to control and the loop must terminate.
-        t_epoch = (next_epoch_s
-                   if scaler is not None and (heap or t_act < _INF)
-                   else _INF)
-        t_split = min(t_arr, t_fault, t_join, t_epoch)
-        if min(t_split, t_act) == _INF:
+        t_epoch = next_epoch_s
+        if not heap and t_epoch < min(t_fault, t_join):
+            # Control epochs tick only while the run has work left: with
+            # no arrival pending, only while some replica is still busy
+            # at the tick (otherwise the loop must terminate).
+            for rep in replicas:
+                advance(rep, t_epoch)
+            if all(rep.next_action_time() == _INF for rep in replicas):
+                t_epoch = _INF
+        now = min(t_fault, t_join, t_epoch, t_arr)
+        if now == _INF:
             break
-        if t_fault <= t_split and t_fault <= t_act:
+        if t_fault == now:
             t, _, target_i, kind = fault_events[fault_cursor]
             fault_cursor += 1
             target = replicas[target_i]
@@ -355,6 +413,11 @@ def simulate_fleet(
                     autoscale_log.append(AutoscaleEvent(
                         t, "recover", target_i, "fault plan recovery"))
                 continue
+            advance(target, t)
+            if ttft_sink is not None:
+                # The in-flight round finishes at the fault, ahead of any
+                # replica action that starts then.
+                ttft_sink.key = (t, 0, 0)
             victims = target.crash(t, on_complete)
             router.mark_failed(target_i)
             delta = target.tokens - target.completed_tokens() \
@@ -365,24 +428,23 @@ def simulate_fleet(
                 heapq.heappush(heap, (t_req, seq, r, True))
                 seq += 1
             continue
-        if t_join <= t_split and t_join <= t_act:
+        if t_join == now:
             t = joins.popleft()
             new_index = router.add_replica()
             replicas.append(make_replica(new_index, t))
             autoscale_log.append(AutoscaleEvent(
                 t, "join", new_index, "cold start complete"))
             continue
-        if t_epoch <= t_arr and t_epoch <= t_act:
+        if t_epoch == now:
             t = next_epoch_s
             next_epoch_s += epoch_s
             for rep in replicas:
+                advance(rep, t)
                 rep.maybe_retire(t)
-            samples = list(ttft_sink)
-            ttft_sink.clear()
             signals, actions = scaler.epoch(
                 t, [snapshot(rep) for rep in replicas],
                 pending_joins=len(joins), max_batch=max_batch,
-                ttft_samples=samples)
+                ttft_samples=ttft_sink.drain())
             telemetry.append(signals)
             for action in actions:
                 if action.kind == "scale_out":
@@ -399,18 +461,17 @@ def simulate_fleet(
                 autoscale_log.append(AutoscaleEvent(
                     t, action.kind, action.replica, action.reason))
             continue
-        if t_arr <= t_act:
-            t, _, r, retry = heapq.heappop(heap)
-            target_i = router.route(r, t, retry=retry)
-            if retry:
-                retried.add(r.request_id)
-            replica_of[r.request_id] = target_i
-            replicas[target_i].deliver(r, t)
-            continue
-        replicas[act_i].perform_action(on_complete,
-                                       t_limit=t_split,
-                                       max_steps=_max_run_steps)
-        replicas[act_i].maybe_retire(replicas[act_i].now)
+        t, _, r, retry = heapq.heappop(heap)
+        # A delivery needs no advance: the target's inbox cuts its
+        # stretch at ``t``.
+        target_i = router.route(r, t, retry=retry)
+        if retry:
+            retried.add(r.request_id)
+        replica_of[r.request_id] = target_i
+        replicas[target_i].deliver(r, t)
+    for rep in replicas:
+        advance(rep, _INF)
+    del router._sync  # the hook closes over the router: break the cycle
 
     # -- assemble the report --------------------------------------------
     finish: dict[int, float] = {}

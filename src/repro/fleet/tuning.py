@@ -104,6 +104,7 @@ def tune_fleet_deployment(
                     trace, num_replicas=replicas, costs=costs,
                     max_batch=max_batch, policy=policy,
                     routing=routing, fault_plan=fault_plan,
+                    detail="summary",
                 )
                 ttft = rep.ttft_percentile(trace, 99)
                 if ttft_sla is not None and ttft > ttft_sla:

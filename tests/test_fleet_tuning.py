@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.engine import synthesize_trace
-from repro.fleet import FaultPlan, ReplicaFault, tune_fleet_deployment
+from repro.engine import DenseLatencyModel, DenseStepCost, synthesize_trace
+from repro.fleet import FaultPlan, ReplicaFault, simulate_fleet, tune_fleet_deployment
 from repro.hardware import dgx_a100_cluster
 from repro.model import DENSE_ZOO
 
@@ -25,6 +25,26 @@ def test_meets_sla_within_budget():
     assert best.tokens_per_second > 0
     assert best.tokens_per_second_per_gpu == pytest.approx(
         best.tokens_per_second / best.num_gpus)
+
+
+def test_winner_reproduces_its_numbers():
+    """The winner replayed at full detail through the public simulator,
+    priced the way the tuner documents (``mean_prompt + mean_gen // 2``
+    representative KV), gives the tuner's numbers."""
+    trace = _trace()
+    best = tune_fleet_deployment(CFG, CLUSTER, trace, gpu_budget=4)
+    prompts = [r.prompt_len for r in trace.requests]
+    gens = [r.gen_tokens for r in trace.requests]
+    mean_prompt = max(1, round(sum(prompts) / len(prompts)))
+    mean_gen = max(1, round(sum(gens) / len(gens)))
+    costs = DenseStepCost(DenseLatencyModel(CFG, CLUSTER, tp=best.tp),
+                          representative_kv=mean_prompt + mean_gen // 2)
+    rep = simulate_fleet(trace, num_replicas=best.replicas, costs=costs,
+                         max_batch=best.max_batch, routing=best.routing,
+                         detail="full")
+    assert rep.tokens_per_second == best.tokens_per_second
+    assert rep.ttft_percentile(trace, 99) == best.ttft_p99
+    assert rep.latency_percentile(trace, 99) == best.latency_p99
 
 
 def test_budget_caps_the_search():
