@@ -38,21 +38,26 @@ KV length just grows by one per iteration — so the event-compressed
 serving loop (:func:`~repro.engine.serving_sim.simulate_serving`) prices
 a whole stretch with one call instead of ``steps`` Python round-trips.
 The ABC ships a per-step reference fallback; the shipped adapters
-override it with an evaluate-once, slice-forever scheme: a per-batch
+override it with an evaluate-once, slice-forever scheme: a per-shape
 cost-vs-KV table (:class:`_KvRunCache`) that ``decode_cost``, the prompt
 riders and the runs all read, so run pricing is bit-for-bit identical to
 the per-step path.
 
 The dense latency model takes KV length as an array axis:
-``step_time(batch, 1, kvs)`` with a 1-D integer ``kvs`` returns kernel
-and comm arrays whose elements equal the scalar calls bit for bit (KV
-enters only through ``+ * /`` and ``max``). In true-KV mode
-:class:`DenseStepCost` therefore fills its tables *ahead* — one
-vectorized call prices every KV length up to the table's capacity,
-which grows by doubling — so a cold run makes a handful of decode fills
-per batch size instead of one per KV length. The MoE and ZeRO models
-price KV through scalar-only terms, so their tables fill lazily, one
-scalar evaluation per KV length a run visits.
+``step_time(batch, tokens, kvs)`` with a 1-D integer ``kvs`` returns
+kernel and comm arrays whose elements equal the scalar calls bit for bit
+(KV enters only through ``+ * /`` and ``max``; the fusion partition and
+GeMM efficiencies depend on the token count alone). In true-KV mode
+:class:`DenseStepCost` therefore keys its tables on ``(batch,
+tokens_per_seq)`` and fills them *ahead* — one vectorized call prices
+every KV length from ``tokens_per_seq`` up to the table's capacity,
+which grows by doubling (a one-entry fill takes the bitwise-equal
+scalar call) — so a cold run makes a handful of fills per row instead
+of one per KV length. Every true-KV pass reads a row:
+decodes, prompt riders and multi-token prompt passes alike. Compat mode
+(``representative_kv``) pins one KV per shape and keeps a scalar memo.
+The MoE and ZeRO models price KV through scalar-only terms, so their
+tables fill lazily, one scalar evaluation per KV length a run visits.
 
 Every priced value is checked once, where it enters a cache or memo (or
 leaves a closure): a non-finite or negative cost raises a
@@ -202,24 +207,28 @@ def _checked(cost, adapter: str, **shape):
 class _KvRunCache:
     """Growable cost tables indexed by KV length, one per cache key.
 
-    An adapter's decode cost is a pure function of a small shape key
-    (the batch size) plus the (mean) KV length, and a decode run walks a
-    *contiguous* KV range — so the natural store is a table whose last
-    axis is the KV length: ``table[:, kv]`` holds the key's ``columns``
-    priced values at context length ``kv``. ``fill(key, kvs)`` (passed
-    per lookup, so the cache holds no reference to its adapter) prices a
-    1-D int64 array of KV lengths in one call and returns one row per
-    column, already :func:`_checked`. Tables grow by doubling.
+    An adapter's pass cost is a pure function of a small shape key (the
+    batch size; for :class:`DenseStepCost` the ``(batch,
+    tokens_per_seq)`` pair) plus the (mean) KV length, and a decode run
+    walks a *contiguous* KV range — so the natural store is a table whose
+    last axis is the KV length: ``table[:, kv]`` holds the key's
+    ``columns`` priced values at context length ``kv``. ``fill(key,
+    kvs)`` (passed per lookup, so the cache holds no reference to its
+    adapter) prices a 1-D int64 array of KV lengths in one call and
+    returns one row per column, already :func:`_checked`. Tables grow by
+    doubling.
 
     ``ahead=True`` is for array-native pricing (:class:`DenseStepCost`,
     whose latency model takes a KV array and returns per-element results
     bit-identical to its scalar calls): any growth prices *every* KV from
-    1 up to the new capacity in one fill call. A vector call costs about
-    one scalar call, so a key settles after a handful of fills (one per
-    doubling) instead of one per KV. Otherwise (MoE and ZeRO, whose
-    pricing is scalar) a lookup prices just the unpriced entries of the
-    requested range, with NaN marking "not priced yet"; fills reject
-    NaN, so the sentinel is unambiguous. Warm lookups are one slice.
+    the lookup's ``floor`` (the key's shortest legal context; entries
+    below it stay NaN and are never read) up to the new capacity in one
+    fill call. A vector call costs about one scalar call, so a key
+    settles after a handful of fills (one per doubling) instead of one
+    per KV. Otherwise (MoE and ZeRO, whose pricing is scalar) a lookup
+    prices just the unpriced entries of the requested range, with NaN
+    marking "not priced yet"; fills reject NaN, so the sentinel is
+    unambiguous. Warm lookups are one slice.
     """
 
     def __init__(self, *, columns: int = 1, ahead: bool = False) -> None:
@@ -228,18 +237,26 @@ class _KvRunCache:
         self._tables: dict = {}
 
     def table(self, key, kv0: int, need: int,
-              fill: Callable[[object, np.ndarray], object]) -> np.ndarray:
+              fill: Callable[[object, np.ndarray], object], *,
+              floor: int = 1) -> np.ndarray:
         """``key``'s ``(columns, capacity)`` table, with every KV length
-        in ``kv0 .. need-1`` priced."""
+        in ``kv0 .. need-1`` priced. ``floor`` is the shortest KV the
+        key can be priced at (an ahead fill starts there)."""
         tab = self._tables.get(key)
         size = 0 if tab is None else tab.shape[1]
         if size < need:
-            grown = np.full((self._columns, max(need, 64, 2 * size)), np.nan)
+            # A table from KV 1 (decode runs, which walk upward from short
+            # contexts) starts at 64 entries; a row with a higher floor
+            # (multi-token passes, read at scattered KVs) starts at
+            # ``need``. Both grow by doubling.
+            least = 64 if floor == 1 else need
+            grown = np.full((self._columns, max(need, least, 2 * size)),
+                            np.nan)
             if size:
                 grown[:, :size] = tab
             tab = self._tables[key] = grown
             if self._ahead:
-                lo = max(1, size)
+                lo = max(floor, size)
                 tab[:, lo:] = fill(key, np.arange(lo, tab.shape[1]))
         if not self._ahead:
             miss = np.flatnonzero(np.isnan(tab[-1, kv0:need]))
@@ -350,31 +367,45 @@ class DenseStepCost(StepCostModel):
         self.representative_kv = representative_kv
         self._memo: dict[tuple, float] = {}
         self._pass_memo: dict[tuple, tuple[float, float]] = {}
-        # Decode-shape passes (one token per sequence), kernel and comm
-        # seconds per batch size, priced a whole KV axis at a time.
-        self._decode = _KvRunCache(columns=2, ahead=True)
+        # True-KV passes, kernel and comm seconds per (batch,
+        # tokens_per_seq) row, priced a whole KV axis at a time.
+        self._rows = _KvRunCache(columns=2, ahead=True)
 
     def _rider_kv(self, state: BatchState) -> int:
         if self.representative_kv is not None:
             return self.representative_kv
         return max(1, state.mean_kv)
 
-    def _decode_passes(self, batch: int, kvs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        passes = self.latency_model.step_time(batch, 1, kvs)
+    def _row_passes(self, key: tuple[int, int],
+                    kvs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        batch, tokens = key
+        if kvs.size == 1:
+            # The scalar call is bitwise equal and skips the vector
+            # path's fixed NumPy cost (about 40% of one evaluation).
+            passes = [np.array([cost]) for cost in
+                      self.latency_model.step_time(batch, tokens, int(kvs[0]))]
+        else:
+            passes = self.latency_model.step_time(batch, tokens, kvs)
+        # A decode row (one token per sequence) is named by batch and KV.
+        shape = ({"batch": batch} if tokens == 1
+                 else {"batch": batch, "tokens_per_seq": tokens})
         for cost in passes:
-            _checked(cost, type(self).__name__, batch=batch, kv=kvs)
+            _checked(cost, type(self).__name__, **shape, kv=kvs)
         return passes
 
     def _fwd_pass(self, batch: int, tokens_per_seq: int, kv: int) -> tuple[float, float]:
         """Cached ``step_time`` (kernel, comm) — a prompt pass and a
         decode pass reuse the same sub-results across thousands of
-        distinct cache keys. True-KV decode-shape passes read the KV
-        tables; multi-token (prompt) passes, and compat mode's decode
-        passes (one pinned KV per batch, so a table would be priced
-        for one entry), are memoized one shape at a time."""
-        if tokens_per_seq == 1 and self.representative_kv is None:
-            k, c = self._decode.table(batch, kv, kv + 1,
-                                      self._decode_passes)[:, kv].tolist()
+        distinct cache keys. In true-KV mode every pass — decode,
+        prompt riders and multi-token prompt passes — reads its
+        ``(batch, tokens_per_seq)`` row, priced ahead from ``kv =
+        tokens_per_seq`` (the shortest legal context) upward. Compat
+        mode's passes (one pinned KV per shape, so a row would be priced
+        for one entry) are memoized one shape at a time."""
+        if self.representative_kv is None:
+            k, c = self._rows.table((batch, tokens_per_seq), kv, kv + 1,
+                                    self._row_passes,
+                                    floor=tokens_per_seq)[:, kv].tolist()
             return k, c
         key = (batch, tokens_per_seq, kv)
         got = self._pass_memo.get(key)
@@ -419,8 +450,8 @@ class DenseStepCost(StepCostModel):
         # mean_kv grows exactly +1 per iteration (every sequence gains one
         # token, so the ceiling-mean shifts by one).
         kv0 = max(1, state.mean_kv)
-        k, c = self._decode.table(state.batch, kv0, kv0 + steps,
-                                  self._decode_passes)[:, kv0:kv0 + steps]
+        k, c = self._rows.table((state.batch, 1), kv0, kv0 + steps,
+                                self._row_passes)[:, kv0:kv0 + steps]
         return k + c
 
 

@@ -655,12 +655,8 @@ class ReplicaEngine:
         self.tokens += n * batch
         if full:
             ends_list = ends[:n].tolist()  # exact float64 -> float
-            label = f"decode x{batch}"
-            s_prev = start
-            for e in ends_list:
-                timeline.record("server", s_prev, e, label)
-                s_prev = e
-            now = s_prev
+            timeline.record_run("server", start, ends_list, f"decode x{batch}")
+            now = ends_list[-1]
         else:
             now = ends[n - 1].item()
             timeline.record("server", start, now,

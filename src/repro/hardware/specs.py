@@ -52,6 +52,12 @@ GiB = 2**30
 US = 1e-6
 MS = 1e-3
 
+# Per-dtype constants keyed by the enum *value*: a str lookup skips the
+# Python-level ``Enum.__hash__`` on the cost model's hot path.
+_ITEMSIZE = {"fp32": 4, "fp16": 2, "int8": 1}
+_CACHELINE_PACK = {"fp32": 1, "fp16": 2, "int8": 4}
+_PEAK_FIELD = {"fp32": "fp32_flops", "fp16": "fp16_flops", "int8": "int8_ops"}
+
 
 class DType(enum.Enum):
     """Numeric datatypes supported by the inference kernels (Sec. III-D)."""
@@ -63,7 +69,7 @@ class DType(enum.Enum):
     @property
     def itemsize(self) -> int:
         """Size of one element in bytes."""
-        return {DType.FP32: 4, DType.FP16: 2, DType.INT8: 1}[self]
+        return _ITEMSIZE[self._value_]
 
     @property
     def cacheline_pack(self) -> int:
@@ -73,7 +79,7 @@ class DType(enum.Enum):
         column so each thread reads M contiguous elements; the paper sets
         M=2 for FP16 and M=4 for INT8 against a 128-byte line.
         """
-        return {DType.FP32: 1, DType.FP16: 2, DType.INT8: 4}[self]
+        return _CACHELINE_PACK[self._value_]
 
 
 @dataclass(frozen=True)
@@ -116,11 +122,7 @@ class GPUSpec:
 
     def peak_flops(self, dtype: DType) -> float:
         """Peak math throughput for ``dtype`` in ops/s."""
-        return {
-            DType.FP32: self.fp32_flops,
-            DType.FP16: self.fp16_flops,
-            DType.INT8: self.int8_ops,
-        }[dtype]
+        return getattr(self, _PEAK_FIELD[dtype._value_])
 
     def ideal_weight_read_time(self, nbytes: float) -> float:
         """Lower bound on reading ``nbytes`` of weights from device memory.

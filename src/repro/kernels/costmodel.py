@@ -171,8 +171,9 @@ class KernelCostModel:
         ) * self.profile.weight_traffic_scale
 
     def _region_hbm_bytes(self, region: FusedRegion) -> float:
+        scale = self._weight_scale()
         w = sum(
-            op.weight_bytes * (self._weight_scale() if op.is_weight_gemm else 1.0)
+            op.weight_bytes * (scale if op.is_weight_gemm else 1.0)
             for op in region.ops
         )
         return w + region.act_bytes

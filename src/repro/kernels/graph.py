@@ -31,6 +31,12 @@ from .ops import HEAD, HIDDEN, Op, OpKind, TOKEN
 
 __all__ = ["LayerShape", "transformer_layer_ops", "moe_expert_ffn_ops"]
 
+# Tile-dimension sets shared by every op built here (frozen, so sharing
+# is safe; building them per op showed up in the per-shape cost).
+_TOKEN_ONLY = frozenset({TOKEN})
+_TOKEN_HEAD = frozenset({TOKEN, HEAD})
+_TOKEN_HIDDEN = frozenset({TOKEN, HIDDEN})
+
 
 @dataclass(frozen=True)
 class LayerShape:
@@ -116,7 +122,7 @@ def _gemm(
         weight_bytes=w_bytes,
         act_in_bytes=t * local_in * shape.dtype.itemsize,
         act_out_bytes=t * local_out * shape.dtype.itemsize,
-        tile_dims=frozenset({TOKEN, HIDDEN}),
+        tile_dims=_TOKEN_HIDDEN,
         tile_local_dep=downstream_fusable,
     )
 
@@ -140,7 +146,7 @@ def transformer_layer_ops(shape: LayerShape) -> list[Op]:
             weight_bytes=2 * h * d,
             act_in_bytes=act,
             act_out_bytes=act,
-            tile_dims=frozenset({TOKEN}),
+            tile_dims=_TOKEN_ONLY,
         )
     )
     ops.append(_gemm("qkv_gemm", shape, h, 3 * h))
@@ -152,7 +158,7 @@ def transformer_layer_ops(shape: LayerShape) -> list[Op]:
             weight_bytes=3 * h / tp * d,
             act_in_bytes=3 * local_attn_act,
             act_out_bytes=3 * local_attn_act,
-            tile_dims=frozenset({TOKEN, HIDDEN}),
+            tile_dims=_TOKEN_HIDDEN,
         )
     )
     ops.append(
@@ -163,7 +169,7 @@ def transformer_layer_ops(shape: LayerShape) -> list[Op]:
             weight_bytes=0.0,
             act_in_bytes=3 * local_attn_act,
             act_out_bytes=3 * local_attn_act,
-            tile_dims=frozenset({TOKEN, HEAD}),
+            tile_dims=_TOKEN_HEAD,
         )
     )
     # Attention contractions: QK^T (t x kv per head) then scores @ V. The
@@ -179,7 +185,7 @@ def transformer_layer_ops(shape: LayerShape) -> list[Op]:
             weight_bytes=0.0,
             act_in_bytes=local_attn_act + kv_bytes / 2,
             act_out_bytes=score_elems * d,
-            tile_dims=frozenset({TOKEN, HEAD}),
+            tile_dims=_TOKEN_HEAD,
         )
     )
     ops.append(
@@ -190,7 +196,7 @@ def transformer_layer_ops(shape: LayerShape) -> list[Op]:
             weight_bytes=0.0,
             act_in_bytes=score_elems * d,
             act_out_bytes=score_elems * d,
-            tile_dims=frozenset({TOKEN, HEAD}),
+            tile_dims=_TOKEN_HEAD,
         )
     )
     ops.append(
@@ -202,7 +208,7 @@ def transformer_layer_ops(shape: LayerShape) -> list[Op]:
             weight_bytes=0.0,
             act_in_bytes=score_elems * d + kv_bytes / 2,
             act_out_bytes=local_attn_act,
-            tile_dims=frozenset({TOKEN, HEAD}),
+            tile_dims=_TOKEN_HEAD,
         )
     )
     ops.append(
@@ -213,7 +219,7 @@ def transformer_layer_ops(shape: LayerShape) -> list[Op]:
             weight_bytes=0.0,
             act_in_bytes=local_attn_act,
             act_out_bytes=local_attn_act,
-            tile_dims=frozenset({TOKEN, HEAD}),
+            tile_dims=_TOKEN_HEAD,
         )
     )
     ops.append(_gemm("attn_output_gemm", shape, h, h, shard_out=False))
@@ -229,7 +235,7 @@ def transformer_layer_ops(shape: LayerShape) -> list[Op]:
             weight_bytes=h * d,
             act_in_bytes=2 * act,  # projected output + residual stream
             act_out_bytes=act,
-            tile_dims=frozenset({TOKEN, HIDDEN}),
+            tile_dims=_TOKEN_HIDDEN,
             tile_local_dep=False,
         )
     )
@@ -241,7 +247,7 @@ def transformer_layer_ops(shape: LayerShape) -> list[Op]:
             weight_bytes=2 * h * d,
             act_in_bytes=act,
             act_out_bytes=act,
-            tile_dims=frozenset({TOKEN}),
+            tile_dims=_TOKEN_ONLY,
         )
     )
     ops.append(_gemm("mlp_h_to_4h_gemm", shape, h, shape.ffn_mult * h))
@@ -253,7 +259,7 @@ def transformer_layer_ops(shape: LayerShape) -> list[Op]:
             weight_bytes=shape.ffn_mult * h / tp * d,
             act_in_bytes=t * shape.ffn_mult * h / tp * d,
             act_out_bytes=t * shape.ffn_mult * h / tp * d,
-            tile_dims=frozenset({TOKEN, HIDDEN}),
+            tile_dims=_TOKEN_HIDDEN,
         )
     )
     ops.append(_gemm("mlp_4h_to_h_gemm", shape, shape.ffn_mult * h, h, shard_out=False))
@@ -265,7 +271,7 @@ def transformer_layer_ops(shape: LayerShape) -> list[Op]:
             weight_bytes=h * d,
             act_in_bytes=2 * act,
             act_out_bytes=act,
-            tile_dims=frozenset({TOKEN, HIDDEN}),
+            tile_dims=_TOKEN_HIDDEN,
             tile_local_dep=False,
         )
     )
@@ -309,7 +315,7 @@ def moe_expert_ffn_ops(shape: LayerShape, *, expert_slicing: int = 1) -> list[Op
             weight_bytes=f * h / es * d,
             act_in_bytes=t * f * h / es * d,
             act_out_bytes=t * f * h / es * d,
-            tile_dims=frozenset({TOKEN, HIDDEN}),
+            tile_dims=_TOKEN_HIDDEN,
         ),
         _gemm(
             "expert_4h_to_h",

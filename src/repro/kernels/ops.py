@@ -30,6 +30,8 @@ HEAD = "head"  # one tile per attention head
 HIDDEN = "hidden"  # one tile per slice of the hidden/output dimension
 SEQUENCE = "sequence"  # key/value sequence axis (reduction dim of attention)
 
+_FOOTPRINTS = ("flops", "weight_bytes", "act_in_bytes", "act_out_bytes")
+
 
 class OpKind(enum.Enum):
     """Operator classes of a transformer layer (Sec. III-A/B)."""
@@ -62,11 +64,11 @@ class Op:
     tile_local_dep: bool = True  # consumer tile depends on exactly one producer tile
 
     def __post_init__(self) -> None:
-        for f in ("flops", "weight_bytes", "act_in_bytes", "act_out_bytes"):
-            v = getattr(self, f)
+        for f, v in zip(_FOOTPRINTS, (self.flops, self.weight_bytes,
+                                      self.act_in_bytes, self.act_out_bytes)):
             # KV-dependent footprints are arrays when a whole KV axis is
             # priced at once (see LayerShape.kv_len).
-            if np.any(v < 0) if isinstance(v, np.ndarray) else v < 0:
+            if (v < 0).any() if isinstance(v, np.ndarray) else v < 0:
                 raise ValueError(f"{f} must be >= 0 for op {self.name!r}")
 
     @property

@@ -13,13 +13,17 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from itertools import repeat
 
 __all__ = ["Span", "Timeline"]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Span:
-    """A half-open interval ``[start, end)`` of activity on one lane."""
+    """A half-open interval ``[start, end)`` of activity on one lane.
+
+    Slotted: a full-detail serving timeline holds one per decode step.
+    """
 
     start: float
     end: float
@@ -53,6 +57,29 @@ class Timeline:
         else:
             insort(spans, span)
         return span
+
+    def record_run(self, lane: str, start: float, ends: list[float],
+                   label: str = "") -> None:
+        """Add back-to-back spans ``[start, ends[0])``, ``[ends[0],
+        ends[1])``, ... to ``lane``, all labelled ``label`` — the same
+        spans, in the same order, as one :meth:`record` per step.
+
+        A decode stretch recorded at full detail is such a run; one call
+        skips the per-step lookup and ordering checks.
+        """
+        if not ends:
+            return
+        starts = [start]
+        starts += ends[:-1]
+        run = list(map(Span, starts, ends, repeat(label)))
+        spans = self._lanes.setdefault(lane, [])
+        # Back-to-back spans are already sorted, so a run that starts at
+        # or after the lane's last span appends whole.
+        if spans and run[0] < spans[-1]:
+            for span in run:
+                insort(spans, span)
+        else:
+            spans += run
 
     def record_instant(self, lane: str, t: float, label: str = "") -> None:
         """Mark a point event on ``lane`` (a scheduler decision, an

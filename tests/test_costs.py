@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import (
     BatchState,
@@ -30,9 +31,17 @@ from repro.engine import (
 )
 from repro.fleet import simulate_fleet
 from repro.hardware import dgx2_v100, dgx_a100_cluster
+from repro.kernels.profiles import DEEPSPEED_FP16, PROFILE_REGISTRY
 from repro.model import DENSE_ZOO, MOE_PARALLELISM, MOE_ZOO, get_model
 from repro.scenarios import chat_scenario
 from repro.zero import ZeroInferenceEngine
+
+
+# Every shipped profile plus eager DeepSpeed; two nodes, so TP=16
+# crosses the node boundary.
+_PROFILES = [*PROFILE_REGISTRY.values(),
+             DEEPSPEED_FP16.with_(name="DeepSpeed-eager", cuda_graph=False)]
+_KV_CLUSTER = dgx_a100_cluster(2)
 
 
 @pytest.fixture(scope="module")
@@ -356,8 +365,8 @@ class _ScalarDenseReference(StepCostModel):
 
 
 class TestDenseFillAhead:
-    """True-KV dense pricing fills each batch size's cost table ahead,
-    a whole KV range per vectorized ``step_time`` call."""
+    """True-KV dense pricing fills each ``(batch, tokens_per_seq)`` row
+    ahead, a whole KV range per vectorized ``step_time`` call."""
 
     def _chat(self):
         return chat_scenario(num_sessions=160, session_rate=200.0,
@@ -373,20 +382,28 @@ class TestDenseFillAhead:
                       routing="session_affinity", prefix_sharing=True,
                       detail="full")
         fast = simulate_fleet(trace, costs=DenseStepCost(counting), **kwargs)
-        decode = [(b, np.size(kv)) for b, t, kv in counting.calls if t == 1]
-        per_batch = collections.Counter(b for b, _ in decode)
-        assert per_batch, "the fleet priced no decode passes"
-        # One fill when a batch size is first seen, one per doubling of
-        # its table after that (tables start at >= 64 entries). A
-        # fallback to per-entry fills would make hundreds per batch.
+        # Every true-KV pass, decode or prompt, reads a row filled by one
+        # call per growth: a vector call, or the bitwise-equal scalar
+        # call when the fill is one entry (a prompt read at kv == tokens).
+        fills = [(b, t, np.atleast_1d(kv)) for b, t, kv in counting.calls]
+        assert all(kv.size == 1 for _, _, kv in fills
+                   if not isinstance(kv, np.ndarray))
+        per_row = collections.Counter((b, t) for b, t, _ in fills)
+        assert any(t == 1 for _, t in per_row), "no decode passes priced"
+        assert any(t > 1 for _, t in per_row), "no prompt passes priced"
+        assert any(kv.size > 1 for _, t, kv in fills if t > 1)
+        # One fill when a row is first seen, one per doubling of its
+        # table after that. A decode table starts at >= 64 entries, a
+        # multi-token row at >= tokens + 1. A fallback to per-entry fills
+        # would make hundreds per row.
         longest = max(r.prompt_len + r.gen_tokens for r in trace.requests)
-        doublings = math.ceil(math.log2(longest / 64))
-        assert max(per_batch.values()) <= 1 + doublings
-        assert all(n >= 63 for _, n in decode)
-        # Multi-token prompt passes stay scalar, one per distinct shape.
-        prompts = [(b, t, kv) for b, t, kv in counting.calls if t > 1]
-        assert all(isinstance(kv, int) for _, _, kv in prompts)
-        assert len(prompts) == len(set(prompts))
+        for (_, t), n in per_row.items():
+            start = 64 if t == 1 else t + 1
+            assert n <= 1 + max(0, math.ceil(math.log2((longest + 1) / start)))
+        # A row is priced from kv = tokens_per_seq (the shortest legal
+        # context) upward; a decode row's first fill spans its table.
+        assert all(kv[0] >= t for _, t, kv in fills)
+        assert all(kv.size >= 63 for _, t, kv in fills if t == 1)
 
         oracle = simulate_fleet(trace, costs=_ScalarDenseReference(model),
                                 _max_run_steps=1, **kwargs)
@@ -410,6 +427,26 @@ class TestDenseFillAhead:
         new = counting.calls[filled:]
         assert (3, 1) not in [(b, t) for b, t, _ in new]
         assert sorted(t for _, t, _ in new) == [1, 40, 64]
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        profile=st.sampled_from(_PROFILES),
+        tp=st.sampled_from([1, 2, 4, 8, 16]),
+        batch=st.sampled_from([1, 1, 2, 3, 8]),
+        tokens_offset=st.sampled_from([-1, 0, 1]),
+        extra=st.lists(st.integers(0, 600), min_size=1, max_size=6),
+    )
+    def test_rows_equal_scalar_step_time(self, profile, tp, batch,
+                                         tokens_offset, extra):
+        """A row read equals the scalar ``step_time`` bitwise at token
+        counts around the small-batch (Deep-Fusion/SBI-GeMM) switch."""
+        model = DenseLatencyModel(DENSE_ZOO["gpt-j-6b"], _KV_CLUSTER, tp=tp,
+                                  profile=profile)
+        tokens = max(1, profile.small_batch_tokens + tokens_offset)
+        cost = DenseStepCost(model)
+        for kv in [tokens + e for e in extra]:
+            assert cost._fwd_pass(batch, tokens, kv) == model.step_time(
+                batch, tokens, kv)
 
     def test_moe_and_zero_stay_lazy(self, moe_cost, zero_cost):
         """Scalar-priced adapters evaluate only the KV lengths a run
@@ -451,6 +488,14 @@ class TestBadCostsFailLoudly:
         with pytest.raises(ValueError, match=r"DenseStepCost.*"
                            r"batch=1, tokens_per_seq=48, kv=48"):
             cost.prompt_cost(BatchState(()), PromptShape(48))
+
+    def test_dense_prompt_row_names_the_offending_kv(self):
+        # A prefix-hit prompt (8 new tokens over 120) fills the (1, 8)
+        # row from kv=8 up; the bad entry sits inside that row.
+        cost = self._dense(100, math.inf)
+        with pytest.raises(ValueError, match=r"DenseStepCost.*"
+                           r"batch=1, tokens_per_seq=8, kv=100\b"):
+            cost.prompt_cost(BatchState(()), PromptShape(120, 112))
 
     def test_moe(self):
         class Moe:

@@ -11,6 +11,7 @@ from repro.simcore import (
     SimulationError,
     Simulator,
     SlotResource,
+    Span,
     Timeline,
     Timeout,
     Wait,
@@ -300,6 +301,39 @@ class TestTimeline:
         a.merge(b)
         assert a.busy_time("l") == pytest.approx(2.0)
         assert a.has_overlap("l")
+
+    def test_record_run_matches_record_by_record(self):
+        def by_record(tl, lane, start, ends, label):
+            for end in ends:
+                tl.record(lane, start, end, label)
+                start = end
+
+        runs = [
+            ("server", 1.0, [1.5, 2.0, 2.0, 3.25], "decode x2"),  # new lane
+            ("server", 3.25, [4.0, 4.5], "decode x3"),  # appends
+            ("server", 0.25, [0.5, 1.0, 2.5], "decode x1"),  # out of order
+            ("server", 5.0, [], "empty"),
+            ("req-1", 0.0, [0.125], "decode"),
+        ]
+        fast, slow = Timeline(), Timeline()
+        for tl in (fast, slow):  # a non-empty lane before any run
+            tl.record("server", 0.75, 1.0, "prefill r0")
+        for lane, start, ends, label in runs:
+            fast.record_run(lane, start, ends, label)
+            by_record(slow, lane, start, ends, label)
+        assert fast.lanes() == slow.lanes()
+        for lane in fast.lanes():
+            assert fast.spans(lane) == slow.spans(lane)
+        assert fast.to_rows() == slow.to_rows()
+        assert fast.to_chrome_trace() == slow.to_chrome_trace()
+        with pytest.raises(ValueError, match="ends before it starts"):
+            fast.record_run("server", 6.0, [6.5, 6.25], "bad")
+
+    def test_span_is_slotted(self):
+        span = Span(0.0, 1.0, "x")
+        assert not hasattr(span, "__dict__")
+        with pytest.raises(AttributeError):
+            span.start = 2.0
 
     def test_merge_matches_record_by_record(self):
         def replica(offset):
